@@ -1,9 +1,9 @@
 """vqlab: variational quantum circuit laboratory.
 
 Statevector simulation of a small gate set, angle-encoded variational
-circuits with exact parameter-shift gradients, quantum Q-learning on
-built-in FrozenLake/CartPole environments, and quanvolutional feature
-extraction for 2D maps.
+circuits with exact adjoint and parameter-shift gradients, quantum
+Q-learning on built-in FrozenLake/CartPole environments, and
+quanvolutional feature extraction for 2D maps.
 """
 
 from .simcore import (GateOp, ResourceLimitError, Statevector, apply_gate,

@@ -95,6 +95,18 @@ class QrlConfig:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if self.target_sync_interval < 1:
             raise ValueError("target_sync_interval must be >= 1")
+        if self.num_qubits < 1:
+            raise ValueError("num_qubits must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(
+                f"batch_size ({self.batch_size}) must not exceed "
+                f"buffer_capacity ({self.buffer_capacity})")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
 
 
 class QrlAgent:
@@ -327,6 +339,9 @@ def agent_to_json(agent: QrlAgent) -> str:
 def agent_from_json(text: str, target_sync_interval: int = 50) -> QrlAgent:
     doc = json.loads(text)
     model = vqc.model_from_dict(doc)
+    for key in ("action_scale", "gamma", "step"):
+        if key not in doc:
+            raise vqc.ModelFormatError(f"checkpoint missing key {key!r}")
     scale = np.asarray(doc["action_scale"], dtype=np.float64)
     agent = QrlAgent(model, scale.size, float(doc["gamma"]),
                      target_sync_interval)

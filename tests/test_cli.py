@@ -98,6 +98,12 @@ class TestTrainQrl:
                      "--out", str(tmp_path / "x")]) == 1
         assert "env kind" in capsys.readouterr().err
 
+    def test_invalid_batch_size_names_field(self, tmp_path, capsys):
+        config = self.config(tmp_path, batch_size=0)
+        assert main(["train-qrl", "--config", config, "--seed", "1",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "batch_size" in capsys.readouterr().err
+
     def test_episode_flag_overrides_config(self, tmp_path):
         config = self.config(tmp_path)
         out = tmp_path / "o"

@@ -10,6 +10,7 @@ from vqlab.qrl import (QrlAgent, QrlConfig, ReplayBuffer, Transition,
                        agent_from_json, agent_to_json, bellman_targets,
                        evaluate, q_values, run_training, select_action,
                        train_step)
+from vqlab.vqc import ModelFormatError
 
 
 def frozenlake_agent(seed=0, depth=2):
@@ -287,3 +288,26 @@ class TestCheckpoint:
         doc = json.loads(agent_to_json(frozenlake_agent()))
         assert doc["schema"] == "vqc-v1"
         assert {"action_scale", "gamma", "step"} <= set(doc)
+
+    @pytest.mark.parametrize("key", ["action_scale", "gamma", "step"])
+    def test_missing_key_named(self, key):
+        doc = json.loads(agent_to_json(frozenlake_agent()))
+        del doc[key]
+        with pytest.raises(ModelFormatError, match=key):
+            agent_from_json(json.dumps(doc))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0),
+        ("lr", -1.0),
+        ("warmup", -5),
+        ("num_qubits", 0),
+    ])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QrlConfig(**{field: value})
+
+    def test_batch_larger_than_buffer_rejected(self):
+        with pytest.raises(ValueError, match="buffer_capacity"):
+            QrlConfig(batch_size=64, buffer_capacity=32)

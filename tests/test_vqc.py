@@ -234,6 +234,41 @@ class TestGradients:
         assert np.max(np.abs(good - bad)) > 1e-5
 
 
+class TestAdjointGradients:
+    """grad_batch's default adjoint path against the parameter-shift batch."""
+
+    def test_matches_parameter_shift(self):
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for trial in range(120):
+            u = int(rng.integers(1, 6))
+            depth = int(rng.integers(0, 4))
+            params = rng.uniform(-np.pi, np.pi, 3 * u * depth)
+            model = VqcModel(u, depth, params,
+                             entangler=("chain", "ring")[trial % 2])
+            n = int(rng.integers(2, 9))
+            upstreams = rng.normal(size=(n, u))
+            if trial % 4 < 2:
+                inputs = {"basis_indices": rng.integers(0, 2 ** u, n)}
+            else:
+                inputs = {"enc_angles": np.stack(
+                    [vqc.encoding_angles(x, SIGMOID)
+                     for x in rng.normal(size=(n, u))])}
+            adjoint = vqc.grad_batch(model, upstreams, **inputs)
+            shifted = vqc.grad_batch(model, upstreams, **inputs,
+                                     shift=vqc.SHIFT)
+            assert adjoint.shape == shifted.shape == (n, model.num_params)
+            if adjoint.size:
+                worst = max(worst, float(np.max(np.abs(adjoint - shifted))))
+        assert worst <= 1e-12
+
+    def test_depth_zero_has_no_columns(self):
+        model = VqcModel(3, 0)
+        grads = vqc.grad_batch(model, np.ones((5, 3)),
+                               basis_indices=np.arange(5))
+        assert grads.shape == (5, 0)
+
+
 class TestParams:
     def test_flat_structured_bijection(self):
         rng = np.random.default_rng(9)
@@ -277,3 +312,10 @@ class TestSerialization:
     def test_malformed_json_reports_location(self):
         with pytest.raises(ModelFormatError, match="line"):
             deserialize_model("{not json")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, bad):
+        doc = json.loads(serialize_model(VqcModel(2, 1)))
+        doc["params"][2] = bad
+        with pytest.raises(ModelFormatError, match="finite"):
+            deserialize_model(json.dumps(doc))
