@@ -158,16 +158,13 @@ def _batch_inputs(model: VqcModel, observations: Sequence[Observation]):
     first = observations[0]
     if isinstance(first, (int, np.integer)):
         return None, np.array([int(o) for o in observations])
-    enc = np.stack([vqc.encoding_angles(np.asarray(o, dtype=np.float64),
-                                        model.encoding)
-                    for o in observations])
-    return enc, None
+    return vqc.encoding_angles(np.asarray(observations, dtype=np.float64),
+                               model.encoding), None
 
 
 def _z_batch(model: VqcModel, observations: Sequence[Observation]) -> np.ndarray:
     enc, basis = _batch_inputs(model, observations)
-    thetas = np.tile(model.params, (len(observations), 1))
-    return vqc.run_circuit_batch(model, thetas, enc, basis)
+    return vqc.run_circuit_batch(model, model.params, enc, basis)
 
 
 def q_values(agent: QrlAgent, observation: Observation) -> np.ndarray:
@@ -212,8 +209,7 @@ def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
     targets = bellman_targets(batch, agent)
 
     enc, basis = _batch_inputs(agent.online, [t.state for t in batch])
-    thetas = np.tile(agent.online.params, (batch_size, 1))
-    z = vqc.run_circuit_batch(agent.online, thetas, enc, basis)
+    z = vqc.run_circuit_batch(agent.online, agent.online.params, enc, basis)
     rows = np.arange(batch_size)
     z_taken = z[rows, actions]
     pred = agent.action_scale[actions] * z_taken

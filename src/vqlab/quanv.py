@@ -92,10 +92,8 @@ def quanv_forward(filt: QuanvFilter, map2d: np.ndarray) -> np.ndarray:
                                 filt.k, filt.stride)
     u = filt.model.num_qubits
     flat = np.stack([filt.normalize(p).reshape(u) for p, _ in patches])
-    enc = filt.model.encoding.scale * np.vectorize(
-        lambda v: vqc.phi(v, filt.model.encoding))(flat)
-    thetas = np.tile(filt.model.params, (len(patches), 1))
-    z = vqc.run_circuit_batch(filt.model, thetas, enc_angles=enc)
+    enc = vqc.encoding_angles(flat, filt.model.encoding)
+    z = vqc.run_circuit_batch(filt.model, filt.model.params, enc_angles=enc)
     return z.reshape(h_out, w_out, u)
 
 

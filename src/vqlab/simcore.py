@@ -13,6 +13,7 @@ cross-checking the fast path in tests.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,8 +93,9 @@ class Statevector:
         return json.dumps({"num_qubits": self.num_qubits, "amps": pairs})
 
 
-def zero_state(num_qubits: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> Statevector:
-    """|0...0> on ``num_qubits`` wires."""
+def check_qubit_budget(num_qubits: int,
+                       max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
+    """Reject a qubit count below 1 or above ``max_qubits``."""
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
     if num_qubits > max_qubits:
@@ -101,6 +103,11 @@ def zero_state(num_qubits: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> Statevec
         raise ResourceLimitError(
             f"{num_qubits} qubits need 2^{num_qubits} complex amplitudes "
             f"({mib:.0f} MiB); cap is {max_qubits} qubits")
+
+
+def zero_state(num_qubits: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> Statevector:
+    """|0...0> on ``num_qubits`` wires."""
+    check_qubit_budget(num_qubits, max_qubits)
     amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return Statevector(num_qubits, amps)
@@ -155,9 +162,13 @@ def gate_matrix(kind: str, angle: Optional[float] = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels.  All take amplitudes of shape (B, 2^U) and mutate in
-# place; rotation angles may be scalars or shape-(B,) arrays.  These back
-# both the public single-state API and the vectorized circuit engine.
+# Batched kernels.  All take amplitudes of shape (..., 2^U), usually (B, 2^U),
+# and return a new array; the input is never written.  These back both the
+# public single-state API and the vectorized circuit engine.  Index and bit
+# tables are built on first use per (U, wires) and cached read-only.
+
+GATHER_MAX_AMPS = 2 ** 14
+
 
 def _wire_mask(num_qubits: int, wire: int) -> int:
     return 1 << (num_qubits - 1 - wire)
@@ -168,80 +179,107 @@ def _check_wire(num_qubits: int, wire: int) -> None:
         raise ValueError(f"wire {wire} out of range for {num_qubits} qubit(s)")
 
 
+@functools.lru_cache(maxsize=64)
+def _flip_index(num_qubits: int, wire: int,
+                control: Optional[int] = None) -> np.ndarray:
+    """Gather index that flips ``wire``'s bit where ``control``'s bit is 1
+    (everywhere when ``control`` is None)."""
+    idx = np.arange(2 ** num_qubits)
+    flipped = idx ^ _wire_mask(num_qubits, wire)
+    if control is not None:
+        flipped = np.where(idx & _wire_mask(num_qubits, control), flipped, idx)
+    flipped.setflags(write=False)
+    return flipped
+
+
+@functools.lru_cache(maxsize=64)
+def _bit_table(num_qubits: int, wires: tuple[int, ...]) -> np.ndarray:
+    """(k, 2^U) bools: is wire ``wires[j]`` in |1> at each index."""
+    masks = np.array([[_wire_mask(num_qubits, w)] for w in wires])
+    bits = (np.arange(2 ** num_qubits) & masks) != 0
+    bits.setflags(write=False)
+    return bits
+
+
 def apply_x_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
-    idx = np.arange(amps.shape[-1])
-    return amps[..., idx ^ _wire_mask(num_qubits, wire)]
+    return amps.take(_flip_index(num_qubits, wire), axis=-1)
 
 
 def apply_y_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
-    mask = _wire_mask(num_qubits, wire)
-    idx = np.arange(amps.shape[-1])
-    factor = np.where(idx & mask, 1j, -1j)
-    return factor * amps[..., idx ^ mask]
+    factor = np.where(_bit_table(num_qubits, (wire,))[0], 1j, -1j)
+    return factor * apply_x_batch(amps, num_qubits, wire)
 
 
 def apply_z_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
-    mask = _wire_mask(num_qubits, wire)
-    idx = np.arange(amps.shape[-1])
-    sign = np.where(idx & mask, -1.0, 1.0)
-    return sign * amps
+    return np.where(_bit_table(num_qubits, (wire,))[0], -1.0, 1.0) * amps
 
 
 def apply_cnot_batch(amps: np.ndarray, num_qubits: int,
                      control: int, target: int) -> np.ndarray:
-    cmask = _wire_mask(num_qubits, control)
-    tmask = _wire_mask(num_qubits, target)
-    idx = np.arange(amps.shape[-1])
-    perm = np.where(idx & cmask, idx ^ tmask, idx)
-    return amps[..., perm]
+    return amps.take(_flip_index(num_qubits, target, control), axis=-1)
 
 
 def apply_cz_batch(amps: np.ndarray, num_qubits: int,
                    wire_a: int, wire_b: int) -> np.ndarray:
-    amask = _wire_mask(num_qubits, wire_a)
-    bmask = _wire_mask(num_qubits, wire_b)
-    idx = np.arange(amps.shape[-1])
-    sign = np.where((idx & amask).astype(bool) & (idx & bmask).astype(bool),
-                    -1.0, 1.0)
-    return sign * amps
+    bits = _bit_table(num_qubits, (wire_a, wire_b))
+    return np.where(bits[0] & bits[1], -1.0, 1.0) * amps
+
+
+# (A, B) of each rotation from the cosine and sine of its half angle
+_SU2_OF = {"RX": lambda c, s: (c, -1j * s), "RY": lambda c, s: (c, -s),
+           "RZ": lambda c, s: (c - 1j * s, 0.0)}
 
 
 def apply_rotation_batch(amps: np.ndarray, num_qubits: int, wire: int,
-                         kind: str, theta) -> np.ndarray:
-    """RX/RY/RZ with per-batch angles; ``theta`` scalar or shape (B,)."""
+                         kind, theta) -> np.ndarray:
+    """RX/RY/RZ on one wire, or a tuple of them applied in order.
+
+    One kind takes ``theta`` scalar (shared by every row) or shape (B,); a
+    tuple of k kinds takes shape (k,) (shared) or (B, k).  The rotations
+    are composed into one R = [[a, b], [-conj(b), conj(a)]], applied in one
+    pass: on the bit-flipped gather for arrays of at most GATHER_MAX_AMPS
+    amplitudes, where it is faster, else on the wire's strided half-views.
+    """
     theta = np.asarray(theta, dtype=np.float64)
-    half = theta / 2.0
-    c = np.cos(half)
-    s = np.sin(half)
-    if theta.ndim == 1:
-        c = c[:, None, None]
-        s = s[:, None, None]
-    batch_shape = amps.shape[:-1]
-    view = amps.reshape(batch_shape + (2 ** wire, 2, 2 ** (num_qubits - 1 - wire)))
-    a0 = view[..., 0, :]
-    a1 = view[..., 1, :]
-    out = np.empty_like(view)
-    if kind == "RX":
-        out[..., 0, :] = c * a0 - 1j * s * a1
-        out[..., 1, :] = -1j * s * a0 + c * a1
-    elif kind == "RY":
-        out[..., 0, :] = c * a0 - s * a1
-        out[..., 1, :] = s * a0 + c * a1
-    elif kind == "RZ":
-        out[..., 0, :] = (c - 1j * s) * a0
-        out[..., 1, :] = (c + 1j * s) * a1
-    else:
-        raise ValueError(f"not a rotation kind: {kind!r}")
+    if isinstance(kind, str):
+        kind, theta = (kind,), theta[..., None]
+    if (not set(kind) <= set(ROTATION_KINDS)
+            or theta.shape[-1:] != (len(kind),)):
+        raise ValueError(f"rotation kinds {kind!r} need one angle each per "
+                         f"row, got angles of shape {theta.shape}")
+    # shared angles compose in Python complex numbers, per-row ones in arrays
+    shared = theta.ndim == 1
+    cos, sin = (math.cos, math.sin) if shared else (np.cos, np.sin)
+    a, b = 1.0, 0.0
+    for k, t in zip(kind, theta.tolist() if shared
+                    else np.moveaxis(theta, -1, 0)):
+        ka, kb = _SU2_OF[k](cos(t / 2), sin(t / 2))
+        a, b = ka * a - kb * b.conjugate(), ka * b + kb * a.conjugate()
+    if amps.size <= GATHER_MAX_AMPS:
+        diag, off = np.where(
+            _bit_table(num_qubits, (wire,))[0],
+            np.array([a.conjugate(), -b.conjugate()])[..., None],
+            np.array([a, b])[..., None])
+        return diag * amps + off * apply_x_batch(amps, num_qubits, wire)
+    shape = amps.shape[:-1] + (2 ** wire, 2, 2 ** (num_qubits - 1 - wire))
+    view = amps.reshape(shape)
+    a, b = (np.asarray(v)[..., None, None] for v in (a, b))
+    out = np.empty(shape, dtype=np.complex128)
+    lo, hi = out[..., 0, :], out[..., 1, :]
+    np.multiply(view[..., 0, :], a, out=lo)
+    lo += b * view[..., 1, :]
+    np.multiply(view[..., 1, :], a.conjugate(), out=hi)
+    hi -= b.conjugate() * view[..., 0, :]
     return out.reshape(amps.shape)
 
 
-def expect_z_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
-    """<Z> on one wire for each batch row; shape (B,)."""
-    mask = _wire_mask(num_qubits, wire)
-    idx = np.arange(amps.shape[-1])
-    sign = np.where(idx & mask, -1.0, 1.0)
-    probs = (amps.real ** 2 + amps.imag ** 2)
-    return probs @ sign
+def expect_z_batch(amps: np.ndarray, num_qubits: int, wire) -> np.ndarray:
+    """<Z> for each batch row on one wire, shape (B,), or on a sequence of
+    k wires, shape (B, k)."""
+    single = isinstance(wire, (int, np.integer))
+    bits = _bit_table(num_qubits, (wire,) if single else tuple(wire))
+    out = (amps.real ** 2 + amps.imag ** 2) @ np.where(bits, -1.0, 1.0).T
+    return out[..., 0] if single else out
 
 
 def apply_gate(state: Statevector, gate: GateOp) -> Statevector:

@@ -1,8 +1,8 @@
 """Angle-encoded variational quantum circuits with exact gradients.
 
 Pipeline: RY angle encoding of a classical vector (or a basis-state index
-for discrete observations), L entangler+rotation layers, per-wire Pauli-Z
-readout.
+for discrete observations), L layers of entangler CNOTs and one fused
+RX-RY-RZ rotation per wire, per-wire Pauli-Z readout.
 
 Gradients w.r.t. the rotation angles are exact two ways.  Training uses
 adjoint differentiation (:func:`grad_batch` by default): one forward pass
@@ -12,8 +12,9 @@ stays in :func:`parameter_shift_grad`, ``vqlab grad-check`` and
 acceptance criterion 3; a central finite difference oracle is kept
 alongside both for verification.
 
-Evaluation is vectorized: a whole batch of circuits (differing in encoding
-angles and/or parameters) runs as one (B, 2^U) amplitude array.
+Evaluation is vectorized: a whole batch of circuits runs as one (B, 2^U)
+amplitude array, all rows sharing one flat parameter vector (or one per
+row, as the parameter-shift batches need) and differing in their inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import simcore
-from .simcore import Statevector, basis_state, zero_state
+from .simcore import Statevector, basis_state
 
 NONLINEARITIES = ("sigmoid", "clamp01", "none")
 ENTANGLERS = ("chain", "ring")
@@ -178,23 +179,25 @@ class MeasurementConfig:
 ANALYTIC = MeasurementConfig()
 
 
-def phi(x: float, spec: EncodingSpec) -> float:
-    """Encoding nonlinearity applied to one input coordinate."""
-    if not math.isfinite(x):
+def phi(x, spec: EncodingSpec):
+    """Encoding nonlinearity, elementwise; a float for a scalar ``x``."""
+    x = np.array(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"input must be finite, got {x}")
     if spec.nonlinearity == "sigmoid":
         # split to avoid overflow in exp for large |x|
-        if x >= 0:
-            return 1.0 / (1.0 + math.exp(-x))
-        e = math.exp(x)
-        return e / (1.0 + e)
-    if spec.nonlinearity == "clamp01":
-        return min(max(x, 0.0), 1.0)
-    return x
+        e = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    elif spec.nonlinearity == "clamp01":
+        out = np.clip(x, 0.0, 1.0)
+    else:
+        out = x
+    return float(out) if out.ndim == 0 else out
 
 
-def encoding_angles(x: Sequence[float], spec: EncodingSpec) -> np.ndarray:
-    return np.array([spec.scale * phi(float(v), spec) for v in x])
+def encoding_angles(x, spec: EncodingSpec) -> np.ndarray:
+    """scale * phi(x) for an input vector, or a (B, U) stack of them."""
+    return spec.scale * phi(x, spec)
 
 
 def encode(x: Sequence[float], spec: EncodingSpec, num_qubits: int) -> Statevector:
@@ -203,10 +206,9 @@ def encode(x: Sequence[float], spec: EncodingSpec, num_qubits: int) -> Statevect
     if x.shape != (num_qubits,):
         raise ValueError(
             f"expected input of length {num_qubits}, got shape {x.shape}")
-    amps = zero_state(num_qubits).amps
-    for wire, angle in enumerate(encoding_angles(x, spec)):
-        amps = simcore.apply_rotation_batch(amps, num_qubits, wire, "RY", angle)
-    return Statevector(num_qubits, np.ascontiguousarray(amps))
+    simcore.check_qubit_budget(num_qubits)
+    amps = _init_amps(num_qubits, encoding_angles(x, spec)[None, :], None)
+    return Statevector(num_qubits, amps[0])
 
 
 def basis_encode(state_index: int, num_qubits: int) -> Statevector:
@@ -230,16 +232,15 @@ def pqc_apply(state: Statevector, model: VqcModel, layer_index: int) -> Statevec
 def _layer_gates(model: VqcModel, layer: int) -> list:
     """One layer's gates in order, as (kind, wires, flat parameter index).
 
-    Entangler CNOTs come first (index None), then RX, RY, RZ on each wire;
-    the angles sit in the layer's alpha, beta and gamma blocks.
+    Entangler CNOTs come first (index None), then one fused RX, RY, RZ
+    block per wire, indexed by a slice over its alpha, beta, gamma angles.
     """
     u = model.num_qubits
     base = 3 * u * layer
     gates = [("CNOT", pair, None)
              for pair in entangler_pairs(u, model.entangler)]
-    for wire in range(u):
-        gates += [(kind, (wire,), base + block * u + wire)
-                  for block, kind in enumerate(("RX", "RY", "RZ"))]
+    gates += [(("RX", "RY", "RZ"), (wire,),
+               slice(base + wire, base + 3 * u, u)) for wire in range(u)]
     return gates
 
 
@@ -250,10 +251,9 @@ def _circuit_gates(model: VqcModel) -> list:
 
 def _apply_gates(amps: np.ndarray, num_qubits: int, gates: list,
                  thetas: np.ndarray) -> np.ndarray:
-    """Apply ``gates`` in order; a rotation's angle is thetas[..., index].
-
-    ``thetas`` is a flat parameter vector (one angle for every row) or
-    (B, 3UL) with one angle per row.
+    """Apply ``gates`` in order; a rotation block's angles are
+    thetas[..., index], from the flat parameter vector that every row
+    shares or from (B, 3UL) with one parameter vector per row.
     """
     for kind, wires, index in gates:
         if index is None:
@@ -264,17 +264,20 @@ def _apply_gates(amps: np.ndarray, num_qubits: int, gates: list,
     return amps
 
 
-def _init_amps(model: VqcModel, enc_angles: Optional[np.ndarray],
-               basis_indices: Optional[np.ndarray], batch: int) -> np.ndarray:
-    u = model.num_qubits
-    amps = np.zeros((batch, 2 ** u), dtype=np.complex128)
+def _init_amps(num_qubits: int, enc_angles: Optional[np.ndarray],
+               basis_indices: Optional[np.ndarray]) -> np.ndarray:
+    """Input states: one basis state per index, or the product state
+    RY(enc_angles[b, w]) on wire w of |0...0> per row b."""
     if basis_indices is not None:
-        amps[np.arange(batch), basis_indices] = 1.0
-    else:
-        amps[:, 0] = 1.0
-        for wire in range(u):
-            amps = simcore.apply_rotation_batch(amps, u, wire, "RY",
-                                                enc_angles[:, wire])
+        amps = np.zeros((len(basis_indices), 2 ** num_qubits), complex)
+        amps[np.arange(len(basis_indices)), basis_indices] = 1.0
+        return amps
+    c, s = np.cos(enc_angles / 2.0), np.sin(enc_angles / 2.0)
+    amps = np.ones((len(enc_angles), 1), complex)
+    for w in range(num_qubits):
+        # wire w becomes the next, less significant bit of the index
+        amps = np.stack([amps * c[:, w, None], amps * s[:, w, None]], axis=-1)
+        amps = amps.reshape(len(enc_angles), -1)
     return amps
 
 
@@ -283,17 +286,21 @@ def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
                       basis_indices: Optional[np.ndarray] = None) -> np.ndarray:
     """Z expectations, shape (B, U), for B circuits evaluated at once.
 
-    ``thetas`` is (B, 3UL); exactly one of ``enc_angles`` (B, U) or
-    ``basis_indices`` (B,) selects the input state per row.
+    Exactly one of ``enc_angles`` (B, U) or ``basis_indices`` (B,) selects
+    the input state per row, and so the batch size.  ``thetas`` is the
+    flat (3UL,) parameter vector that every row shares, or (B, 3UL).
     """
     u = model.num_qubits
-    batch = thetas.shape[0]
-    amps = _apply_gates(_init_amps(model, enc_angles, basis_indices, batch),
-                        u, _circuit_gates(model), thetas)
-    out = np.empty((batch, u))
-    for wire in range(u):
-        out[:, wire] = simcore.expect_z_batch(amps, u, wire)
-    return out
+    amps = _apply_gates(_init_amps(u, enc_angles, basis_indices), u,
+                        _circuit_gates(model), thetas)
+    return simcore.expect_z_batch(amps, u, range(u))
+
+
+def _repeat_inputs(enc_angles, basis_indices, times: int) -> dict:
+    """run_circuit_batch inputs with each row repeated ``times`` times."""
+    if basis_indices is not None:
+        return {"basis_indices": np.repeat(basis_indices, times)}
+    return {"enc_angles": np.repeat(enc_angles, times, axis=0)}
 
 
 def _prepare_input(model: VqcModel, x):
@@ -318,7 +325,7 @@ def forward(model: VqcModel, x,
     observations.
     """
     enc, basis = _prepare_input(model, x)
-    z = run_circuit_batch(model, model.params[None, :], enc, basis)[0]
+    z = run_circuit_batch(model, model.params, enc, basis)[0]
     if measurement.mode == "analytic":
         return z
     rng = np.random.default_rng(measurement.seed)
@@ -357,12 +364,8 @@ def grad_batch(model: VqcModel, upstreams: np.ndarray,
     block[2 * k, k] = shift
     block[2 * k + 1, k] = -shift
     thetas += np.tile(block, (n, 1))
-    if basis_indices is not None:
-        rep_basis = np.repeat(basis_indices, n_params * 2)
-        z = run_circuit_batch(model, thetas, basis_indices=rep_basis)
-    else:
-        rep_enc = np.repeat(enc_angles, n_params * 2, axis=0)
-        z = run_circuit_batch(model, thetas, enc_angles=rep_enc)
+    z = run_circuit_batch(model, thetas, **_repeat_inputs(
+        enc_angles, basis_indices, n_params * 2))
     z = z.reshape(n, n_params, 2, model.num_qubits)
     df = (z[:, :, 0, :] - z[:, :, 1, :]) / 2.0
     return np.einsum("npw,nw->np", df, upstreams)
@@ -375,29 +378,47 @@ def _adjoint_grad(model: VqcModel, upstreams: np.ndarray,
 
     After the forward pass to psi, lambda = sum_w upstream_w Z_w psi.  The
     reverse sweep un-applies each gate to psi and lambda, stacked as one
-    (2, n, 2^U) array.  Since dR_P(t)/dt = R_P(pi) R_P(t) / 2, a rotation's
-    derivative at that point is Re<lambda|R_P(pi)|psi>.
+    (2, n, 2^U) array.  At the end of a rotation block, its three angles'
+    derivatives are Re<lambda|G|psi> for the generators G of
+    :func:`_block_generators`, read from the wire's 2x2 overlaps.
     """
     u = model.num_qubits
-    n = upstreams.shape[0]
     theta = model.params
     gates = _circuit_gates(model)
-    psi = _apply_gates(_init_amps(model, enc_angles, basis_indices, n), u,
-                       gates, theta)
+    psi = _apply_gates(_init_amps(u, enc_angles, basis_indices), u, gates,
+                       theta)
     lam = sum(upstreams[:, wire, None] * simcore.apply_z_batch(psi, u, wire)
               for wire in range(u))
     pair = np.stack([psi, lam])
-    grads = np.empty((n, theta.size))
-    for kind, wires, index in reversed(gates):
+    grads = np.empty((psi.shape[0], theta.size))
+    for kinds, wires, index in reversed(gates):
         if index is None:
             pair = simcore.apply_cnot_batch(pair, u, *wires)
             continue
-        turned = simcore.apply_rotation_batch(pair[0], u, wires[0], kind,
-                                              math.pi)
-        grads[:, index] = np.einsum("nb,nb->n", pair[1].conj(), turned).real
-        pair = simcore.apply_rotation_batch(pair, u, wires[0], kind,
-                                            -theta[index])
+        w = wires[0]
+        # halves[:, n, a]: psi and lambda where wire w is a, so overlaps
+        # [n, a, b] = sum of conj(lambda) psi, wire w at a and at b
+        halves = pair.reshape((2, -1, 2 ** w, 2, 2 ** (u - 1 - w)))
+        halves = halves.transpose(0, 1, 3, 2, 4).reshape(2, -1, 2, 2 ** (u - 1))
+        overlaps = halves[1].conj() @ halves[0].transpose(0, 2, 1)
+        grads[:, index] = (overlaps.reshape(-1, 4)
+                           @ _block_generators(theta[index]).T).real
+        pair = simcore.apply_rotation_batch(pair, u, w, kinds[::-1],
+                                            -theta[index][::-1])
     return grads
+
+
+def _block_generators(angles: np.ndarray) -> np.ndarray:
+    """Rows (G00, G01, G10, G11) of the RX, RY, RZ angles' generators at
+    the end of R_Z R_Y R_X: (R_Z R_Y)(-iX)(R_Z R_Y)^dagger, R_Z(-iY)R_Z^dagger
+    and -iZ.  Each is -i n.sigma, and d/dt R_Z R_Y R_X = (G/2) R_Z R_Y R_X.
+    """
+    _, beta, gamma = angles.tolist()
+    cb, sb, cg, sg = (math.cos(beta), math.sin(beta),
+                      math.cos(gamma), math.sin(gamma))
+    axes = ((cb * cg, cb * sg, -sb), (-sg, cg, 0.0), (0.0, 0.0, 1.0))
+    return np.array([(-1j * z, -1j * x - y, -1j * x + y, 1j * z)
+                     for x, y, z in axes])
 
 
 def parameter_shift_grad(model: VqcModel, x, upstream: np.ndarray,
@@ -432,12 +453,8 @@ def finite_diff_grad(model: VqcModel, x, upstream: np.ndarray,
     k = np.arange(n_params)
     thetas[2 * k, k] += h
     thetas[2 * k + 1, k] -= h
-    if basis is not None:
-        z = run_circuit_batch(model, thetas,
-                              basis_indices=np.repeat(basis, n_params * 2))
-    else:
-        z = run_circuit_batch(model, thetas,
-                              enc_angles=np.repeat(enc, n_params * 2, axis=0))
+    z = run_circuit_batch(model, thetas,
+                          **_repeat_inputs(enc, basis, n_params * 2))
     z = z.reshape(n_params, 2, model.num_qubits)
     df = (z[:, 0, :] - z[:, 1, :]) / (2.0 * h)
     return df @ upstream

@@ -9,6 +9,7 @@ from vqlab.simcore import (GateOp, ResourceLimitError, apply_gate, basis_state,
                            gate_matrix, sample_z_mean, zero_state)
 
 ALL_KINDS = simcore.FIXED_KINDS + simcore.ROTATION_KINDS
+ROTATION_KINDS = simcore.ROTATION_KINDS
 
 
 def random_gate(rng, num_qubits):
@@ -272,3 +273,155 @@ def test_debug_dump_round_trips():
     assert doc["num_qubits"] == 2
     amps = np.array([complex(re, im) for re, im in doc["amps"]])
     assert np.allclose(amps, plus.amps)
+
+
+def _dense_rotations(kinds, angles, wire, num_qubits):
+    """Product of embed_gate matrices for rotations applied in order."""
+    full = np.eye(2 ** num_qubits, dtype=np.complex128)
+    for kind, angle in zip(kinds, angles):
+        gate = GateOp(kind, (wire,), float(angle))
+        full = embed_gate(gate, num_qubits) @ full
+    return full
+
+
+def _random_amps(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.fixture(params=["gather", "strided"])
+def kernel_form(request, monkeypatch):
+    """Runs a test under each of apply_rotation_batch's two forms."""
+    if request.param == "strided":
+        monkeypatch.setattr(simcore, "GATHER_MAX_AMPS", 0)
+    return request.param
+
+
+class TestFusedRotation:
+    """A tuple of kinds against sequential single-kind calls and the
+    dense oracle, on every wire, to 1e-12."""
+
+    KINDS = ("RX", "RY", "RZ")
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+    def test_shared_and_per_row_angles(self, num_qubits, kernel_form):
+        rng = np.random.default_rng(40 + num_qubits)
+        batch = 3
+        amps = _random_amps(rng, (batch, 2 ** num_qubits))
+        for wire in range(num_qubits):
+            shared = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
+            rows = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, 3))
+            for theta in (shared, rows):
+                fused = simcore.apply_rotation_batch(amps, num_qubits, wire,
+                                                     self.KINDS, theta)
+                seq = amps
+                for j, kind in enumerate(self.KINDS):
+                    seq = simcore.apply_rotation_batch(seq, num_qubits, wire,
+                                                       kind, theta[..., j])
+                row_angles = np.broadcast_to(theta, (batch, 3))
+                dense = np.stack([
+                    _dense_rotations(self.KINDS, row_angles[b], wire,
+                                     num_qubits) @ amps[b]
+                    for b in range(batch)])
+                assert np.max(np.abs(fused - seq)) <= 1e-12
+                assert np.max(np.abs(fused - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    def test_single_kind_scalar_and_per_row(self, kind, kernel_form):
+        rng = np.random.default_rng(50)
+        amps = _random_amps(rng, (4, 8))
+        for wire in range(3):
+            scalar = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+            rows = rng.uniform(-2 * np.pi, 2 * np.pi, 4)
+            got = simcore.apply_rotation_batch(amps, 3, wire, kind, scalar)
+            want = amps @ _dense_rotations((kind,), [scalar], wire, 3).T
+            assert np.max(np.abs(got - want)) <= 1e-12
+            got = simcore.apply_rotation_batch(amps, 3, wire, kind, rows)
+            want = np.stack([_dense_rotations((kind,), [rows[b]], wire, 3)
+                             @ amps[b] for b in range(4)])
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_pair_shaped_input(self, kernel_form):
+        # (2, n, 2^U): the adjoint pass's stacked psi and lambda
+        rng = np.random.default_rng(51)
+        pair = _random_amps(rng, (2, 5, 16))
+        kinds = ("RZ", "RY", "RX")
+        for wire in range(4):
+            shared = rng.uniform(-np.pi, np.pi, 3)
+            rows = rng.uniform(-np.pi, np.pi, (5, 3))
+            for theta in (shared, rows):
+                got = simcore.apply_rotation_batch(pair, 4, wire, kinds, theta)
+                angles = np.broadcast_to(theta, (5, 3))
+                for half in range(2):
+                    want = np.stack([
+                        _dense_rotations(kinds, angles[b], wire, 4)
+                        @ pair[half, b] for b in range(5)])
+                    assert np.max(np.abs(got[half] - want)) <= 1e-12
+
+    def test_angle_count_checked(self):
+        amps = zero_state(2).amps[None, :]
+        with pytest.raises(ValueError):
+            simcore.apply_rotation_batch(amps, 2, 0, ("RX", "RY"), [0.1])
+        with pytest.raises(ValueError):
+            simcore.apply_rotation_batch(amps, 2, 0, ("RX", "RY"), 0.1)
+        with pytest.raises(ValueError):
+            simcore.apply_rotation_batch(amps, 2, 0, ("RX", "X"), [0.1, 0.2])
+
+
+class TestExpectZSequence:
+    def test_matches_per_wire_calls(self):
+        rng = np.random.default_rng(52)
+        for num_qubits in range(1, 6):
+            amps = _random_amps(rng, (7, 2 ** num_qubits))
+            wires = list(rng.permutation(num_qubits))
+            together = simcore.expect_z_batch(amps, num_qubits, wires)
+            assert together.shape == (7, num_qubits)
+            for j, wire in enumerate(wires):
+                alone = simcore.expect_z_batch(amps, num_qubits, int(wire))
+                assert alone.shape == (7,)
+                assert np.max(np.abs(together[:, j] - alone)) <= 1e-12
+
+
+class TestKernelsLeaveInputsAlone:
+    """Kernels return new arrays: neither the input nor a cached table may
+    change, also when the caller then writes into the result."""
+
+    def _calls(self):
+        rng = np.random.default_rng(53)
+        rows = rng.uniform(-np.pi, np.pi, (3, 3))
+        return [
+            lambda a: simcore.apply_x_batch(a, 3, 1),
+            lambda a: simcore.apply_y_batch(a, 3, 1),
+            lambda a: simcore.apply_z_batch(a, 3, 1),
+            lambda a: simcore.apply_cnot_batch(a, 3, 0, 2),
+            lambda a: simcore.apply_cz_batch(a, 3, 2, 0),
+            lambda a: simcore.apply_rotation_batch(a, 3, 1, "RX", 0.4),
+            lambda a: simcore.apply_rotation_batch(a, 3, 1, "RY", rows[:, 0]),
+            lambda a: simcore.apply_rotation_batch(a, 3, 2, ("RX", "RY", "RZ"),
+                                                   rows[0]),
+            lambda a: simcore.apply_rotation_batch(a, 3, 0, ("RZ", "RX"),
+                                                   rows[:, :2]),
+            lambda a: simcore.expect_z_batch(a, 3, 1),
+            lambda a: simcore.expect_z_batch(a, 3, [2, 0]),
+        ]
+
+    def test_input_and_tables_unchanged(self, kernel_form):
+        rng = np.random.default_rng(54)
+        amps = _random_amps(rng, (3, 8))
+        for call in self._calls():
+            before = amps.copy()
+            first = call(amps)
+            assert np.array_equal(amps, before)
+            assert not np.shares_memory(first, amps)
+            first[...] = 7.0  # a write into the result reaches nothing else
+            assert np.array_equal(amps, before)
+            assert np.array_equal(call(amps), call(before))
+        for table in (simcore._flip_index(3, 1), simcore._flip_index(3, 2, 0),
+                      simcore._bit_table(3, (1,)),
+                      simcore._bit_table(3, (2, 0))):
+            assert not table.flags.writeable
+        idx = np.arange(8)
+        assert np.array_equal(simcore._flip_index(3, 1), idx ^ 2)
+        assert np.array_equal(simcore._flip_index(3, 2, 0),
+                              np.where(idx & 4, idx ^ 1, idx))
+        assert np.array_equal(simcore._bit_table(3, (2, 0)),
+                              [(idx & 1) != 0, (idx & 4) != 0])

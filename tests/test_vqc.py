@@ -48,6 +48,39 @@ class TestPhi:
         with pytest.raises(ValueError):
             EncodingSpec("relu")
 
+    @staticmethod
+    def reference_phi(v, nonlinearity):
+        """The per-coordinate definition, in math on Python floats."""
+        if nonlinearity == "sigmoid":
+            if v >= 0:
+                return 1.0 / (1.0 + math.exp(-v))
+            return math.exp(v) / (1.0 + math.exp(v))
+        if nonlinearity == "clamp01":
+            return min(max(v, 0.0), 1.0)
+        return v
+
+    @pytest.mark.parametrize("nonlinearity", vqc.NONLINEARITIES)
+    def test_array_matches_reference_loop(self, nonlinearity):
+        spec = EncodingSpec(nonlinearity)
+        x = np.random.default_rng(8).normal(scale=20.0, size=(6, 4))
+        x[0, :2] = [0.0, -0.0]
+        want = [[self.reference_phi(float(v), nonlinearity) for v in row]
+                for row in x]
+        got = phi(x, spec)
+        assert got.shape == x.shape
+        # NumPy's exp may differ from math.exp in the last bit
+        assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps
+        for v, w in zip(x.ravel(), np.ravel(want)):
+            one = phi(float(v), spec)
+            assert isinstance(one, float)
+            assert abs(one - w) <= 2 * np.finfo(float).eps
+
+    def test_non_finite_array_rejected(self):
+        with pytest.raises(ValueError):
+            phi(np.array([0.0, float("nan")]), SIGMOID)
+        with pytest.raises(ValueError):
+            vqc.encoding_angles(np.array([[0.0], [float("-inf")]]), SIGMOID)
+
 
 class TestEncode:
     def test_zero_input_gives_cos_quarter_pi(self):
@@ -81,6 +114,10 @@ class TestEncode:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             encode([0.0, 0.0, 0.0], SIGMOID, 2)
+
+    def test_qubit_cap(self):
+        with pytest.raises(simcore.ResourceLimitError):
+            encode(np.zeros(25), SIGMOID, 25)
 
     def test_basis_encode(self):
         assert np.array_equal(basis_encode(5, 3).amps,
@@ -169,6 +206,24 @@ class TestForward:
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 assert np.max(np.abs(outputs[i] - outputs[j])) > 1e-6
+
+
+class TestRunCircuitBatch:
+    def test_flat_params_match_tiled(self):
+        rng = np.random.default_rng(22)
+        for trial in range(40):
+            model = random_model(rng, max_qubits=5)
+            u, n = model.num_qubits, int(rng.integers(1, 9))
+            if trial % 2:
+                inputs = {"basis_indices": rng.integers(0, 2 ** u, n)}
+            else:
+                inputs = {"enc_angles": vqc.encoding_angles(
+                    rng.normal(size=(n, u)), SIGMOID)}
+            flat = vqc.run_circuit_batch(model, model.params, **inputs)
+            tiled = vqc.run_circuit_batch(
+                model, np.tile(model.params, (n, 1)), **inputs)
+            assert flat.shape == tiled.shape == (n, u)
+            assert np.max(np.abs(flat - tiled)) <= 1e-12
 
 
 class TestGradients:
