@@ -11,8 +11,8 @@ Subcommands:
 Configuration is a JSON file (schema "vqlab-v1", unknown keys rejected)
 plus command-line flags; flags win.  Every command honors --seed; when no
 seed is given one is generated and echoed into the outputs so the run
-stays replayable.  Exit codes: 0 success, 1 validation error, 2
-runtime/resource error.
+stays replayable.  Exit codes: 0 success, 1 validation error (bad config,
+input or usage), 2 runtime/resource error.
 """
 
 from __future__ import annotations
@@ -44,8 +44,14 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
-_TOP_KEYS = {"schema", "seed", "out", "grad_check", "qrl", "quanv",
-             "measurement"}
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError, so they exit 1 like bad config."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+_TOP_KEYS = {"schema", "seed", "out", "grad_check", "qrl", "quanv"}
 _GRAD_KEYS = {"trials", "max_qubits", "max_depth", "h", "tolerance", "shift"}
 _QRL_KEYS = {"env", "episodes", "num_qubits", "depth", "entangler", "gamma",
              "buffer_capacity", "batch_size", "warmup", "epsilon_start",
@@ -53,7 +59,6 @@ _QRL_KEYS = {"env", "episodes", "num_qubits", "depth", "entangler", "gamma",
              "optimizer", "lr", "init_scale", "loss", "huber_delta",
              "eval_episodes"}
 _QUANV_KEYS = {"k", "depth", "stride", "v_min", "v_max"}
-_MEASUREMENT_KEYS = {"mode", "shots"}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -82,8 +87,7 @@ def load_config(path: Optional[str]) -> dict:
             f"got {doc.get('schema')!r}")
     _check_keys(doc, _TOP_KEYS, "config")
     for name, keys in (("grad_check", _GRAD_KEYS), ("qrl", _QRL_KEYS),
-                       ("quanv", _QUANV_KEYS),
-                       ("measurement", _MEASUREMENT_KEYS)):
+                       ("quanv", _QUANV_KEYS)):
         if name in doc:
             if not isinstance(doc[name], dict):
                 raise ConfigError(f"config section {name!r} must be an object")
@@ -113,10 +117,18 @@ def resolve_out(args, config: dict) -> Path:
 
 def cmd_grad_check(args) -> int:
     config = load_config(args.config)
-    section = config.get("grad_check", {})
+    section = dict(config.get("grad_check", {}))
+    if args.qubits is not None:
+        section["max_qubits"] = args.qubits
+    if args.depth is not None:
+        section["max_depth"] = args.depth
     trials = int(section.get("trials", 100))
-    max_qubits = args.qubits or int(section.get("max_qubits", 4))
-    max_depth = args.depth or int(section.get("max_depth", 3))
+    max_qubits = int(section.get("max_qubits", 4))
+    max_depth = int(section.get("max_depth", 3))
+    for key, value in (("trials", trials), ("max_qubits", max_qubits),
+                       ("max_depth", max_depth)):
+        if value < 1:
+            raise ConfigError(f"grad_check {key} must be >= 1, got {value}")
     h = float(section.get("h", 1e-4))
     tolerance = float(section.get("tolerance", 1e-5))
     shift = float(section.get("shift", math.pi / 2))  # test hook
@@ -211,13 +223,17 @@ def cmd_train_qrl(args) -> int:
 # quanv
 
 def cmd_quanv(args) -> int:
+    if not Path(args.map).is_file():
+        raise ConfigError(f"map file not found: {args.map}")
     config = load_config(args.config)
     seed = resolve_seed(args, config)
     out = resolve_out(args, config)
-    section = config.get("quanv", {})
+    section = dict(config.get("quanv", {}))
+    if args.depth is not None:
+        section["depth"] = args.depth
     filt = quanv.QuanvFilter.random(
         k=int(section.get("k", 2)),
-        depth=args.depth or int(section.get("depth", 1)),
+        depth=int(section.get("depth", 1)),
         stride=int(section.get("stride", 2)),
         v_min=float(section.get("v_min", 0.0)),
         v_max=float(section.get("v_max", 1.0)),
@@ -235,46 +251,41 @@ def cmd_quanv(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vqlab", description="variational quantum circuit lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text, writes_out):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--out", help="output directory (default ./out)")
-        p.add_argument("--shots", type=int,
-                       help="shot count for sampled measurement")
-        p.add_argument("--analytic", action="store_true",
-                       help="force analytic measurement")
-        p.add_argument("--episodes", type=int)
-        p.add_argument("--qubits", type=int)
-        p.add_argument("--depth", type=int)
+        if writes_out:
+            p.add_argument("--out", help="output directory (default ./out)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("grad-check",
-                       help="compare parameter-shift and finite differences")
-    common(p)
-    p.set_defaults(func=cmd_grad_check)
+    p = command("grad-check", cmd_grad_check,
+                "compare parameter-shift and finite differences", False)
+    p.add_argument("--qubits", type=int, help="largest qubit count drawn")
+    p.add_argument("--depth", type=int, help="largest depth drawn")
 
-    p = sub.add_parser("train-qrl", help="train a quantum Q-learning agent")
-    common(p)
-    p.set_defaults(func=cmd_train_qrl)
+    p = command("train-qrl", cmd_train_qrl,
+                "train a quantum Q-learning agent", True)
+    p.add_argument("--episodes", type=int)
+    p.add_argument("--qubits", type=int)
+    p.add_argument("--depth", type=int)
 
-    p = sub.add_parser("quanv", help="quanvolve a CSV feature map")
-    common(p)
+    p = command("quanv", cmd_quanv, "quanvolve a CSV feature map", True)
+    p.add_argument("--depth", type=int)
     p.add_argument("map", help="input CSV map (H rows of W reals)")
-    p.set_defaults(func=cmd_quanv)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ModelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and ModelFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field, asdict
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +92,8 @@ class QrlConfig:
             raise ValueError("episodes must be >= 0")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
+        if not 0 < self.epsilon_decay <= 1:
+            raise ValueError("epsilon_decay must lie in (0, 1]")
         if self.target_sync_interval < 1:
             raise ValueError("target_sync_interval must be >= 1")
         if self.num_qubits < 1:
@@ -153,18 +154,8 @@ class QrlAgent:
         self.target_action_scale = self.action_scale.copy()
 
 
-def _batch_inputs(model: VqcModel, observations: Sequence[Observation]):
-    """Observations -> (enc_angles, basis_indices) for the circuit engine."""
-    first = observations[0]
-    if isinstance(first, (int, np.integer)):
-        return None, np.array([int(o) for o in observations])
-    return vqc.encoding_angles(np.asarray(observations, dtype=np.float64),
-                               model.encoding), None
-
-
 def _z_batch(model: VqcModel, observations: Sequence[Observation]) -> np.ndarray:
-    enc, basis = _batch_inputs(model, observations)
-    return vqc.run_circuit_batch(model, model.params, enc, basis)
+    return vqc.run_circuit_batch(model, model.params, observations)
 
 
 def q_values(agent: QrlAgent, observation: Observation) -> np.ndarray:
@@ -208,8 +199,8 @@ def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
     actions = np.array([t.action for t in batch])
     targets = bellman_targets(batch, agent)
 
-    enc, basis = _batch_inputs(agent.online, [t.state for t in batch])
-    z = vqc.run_circuit_batch(agent.online, agent.online.params, enc, basis)
+    states = [t.state for t in batch]
+    z = _z_batch(agent.online, states)
     rows = np.arange(batch_size)
     z_taken = z[rows, actions]
     pred = agent.action_scale[actions] * z_taken
@@ -219,7 +210,7 @@ def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
     # only the taken action's wire receives upstream gradient
     upstream = np.zeros((batch_size, agent.online.num_qubits))
     upstream[rows, actions] = dpred * agent.action_scale[actions]
-    theta_grads = vqc.grad_batch(agent.online, upstream, enc, basis).sum(axis=0)
+    theta_grads = vqc.grad_batch(agent.online, upstream, states).sum(axis=0)
     scale_grads = np.zeros(agent.action_count)
     np.add.at(scale_grads, actions, dpred * z_taken)
 
@@ -233,6 +224,19 @@ def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
     if agent.step % agent.target_sync_interval == 0:
         agent.sync_target()
     return value
+
+
+def _episode(env, policy: Callable[[Observation], int],
+             rng: np.random.Generator) -> Iterator[Transition]:
+    """Reset ``env`` and yield each step's transition under ``policy``; the
+    caller handles a transition before the policy picks the next action."""
+    obs = env.reset(rng)
+    done = False
+    while not done:
+        action = policy(obs)
+        next_obs, reward, done = env.step(action)
+        yield Transition(obs, action, reward, next_obs, done)
+        obs = next_obs
 
 
 def run_training(config: QrlConfig) -> Tuple[QrlAgent, List[dict]]:
@@ -250,23 +254,22 @@ def run_training(config: QrlConfig) -> Tuple[QrlAgent, List[dict]]:
     optimizer = optim.make_optimizer(config.optimizer, config.lr)
     epsilon = config.epsilon_start
     metrics: List[dict] = []
+
+    def policy(obs):
+        return select_action(q_values(agent, obs), epsilon, rng)
+
     for episode in range(config.episodes):
-        obs = env.reset(rng)
-        done = False
         ep_return = 0.0
         ep_steps = 0
         losses: List[float] = []
-        while not done:
-            action = select_action(q_values(agent, obs), epsilon, rng)
-            next_obs, reward, done = env.step(action)
-            buffer.push(Transition(obs, action, reward, next_obs, done))
+        for transition in _episode(env, policy, rng):
+            buffer.push(transition)
             if len(buffer) >= config.warmup:
                 loss_value = train_step(agent, buffer, config.batch_size,
                                         config.loss, optimizer, rng)
                 if loss_value is not None:
                     losses.append(loss_value)
-            obs = next_obs
-            ep_return += reward
+            ep_return += transition.reward
             ep_steps += 1
         epsilon = max(config.epsilon_end, epsilon * config.epsilon_decay)
         metrics.append({
@@ -286,22 +289,16 @@ def evaluate(agent: QrlAgent, env_kind: str, episodes: int,
     surviving to the step cap (CartPole)."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    returns = []
-    successes = 0
-    for _ in range(episodes):
-        env = make_env(env_kind)
-        obs = env.reset(rng)
-        done = False
-        ep_return = 0.0
-        while not done:
-            action = select_action(q_values(agent, obs), 0.0, rng)
-            obs, reward, done = env.step(action)
-            ep_return += reward
-        returns.append(ep_return)
-        if env.spec.discrete:
-            successes += int(ep_return > 0)
-        else:
-            successes += int(ep_return >= env.spec.step_cap)
+
+    def greedy(obs):
+        return select_action(q_values(agent, obs), 0.0, rng)
+
+    returns = [sum(t.reward
+                   for t in _episode(make_env(env_kind), greedy, rng))
+               for _ in range(episodes)]
+    spec = make_env(env_kind).spec
+    successes = sum(r > 0 if spec.discrete else r >= spec.step_cap
+                    for r in returns)
     return {"mean_return": float(np.mean(returns)),
             "success_rate": successes / episodes}
 
@@ -309,17 +306,14 @@ def evaluate(agent: QrlAgent, env_kind: str, episodes: int,
 def random_policy_baseline(env_kind: str, episodes: int,
                            rng: np.random.Generator) -> dict:
     """Mean return of uniformly random actions under the same seed protocol."""
-    returns = []
-    for _ in range(episodes):
-        env = make_env(env_kind)
-        env.reset(rng)
-        done = False
-        ep_return = 0.0
-        while not done:
-            action = int(rng.integers(0, env.spec.action_count))
-            _, reward, done = env.step(action)
-            ep_return += reward
-        returns.append(ep_return)
+    action_count = make_env(env_kind).spec.action_count
+
+    def uniform(obs):
+        return int(rng.integers(0, action_count))
+
+    returns = [sum(t.reward
+                   for t in _episode(make_env(env_kind), uniform, rng))
+               for _ in range(episodes)]
     return {"mean_return": float(np.mean(returns))}
 
 
@@ -339,8 +333,17 @@ def agent_from_json(text: str, target_sync_interval: int = 50) -> QrlAgent:
         if key not in doc:
             raise vqc.ModelFormatError(f"checkpoint missing key {key!r}")
     scale = np.asarray(doc["action_scale"], dtype=np.float64)
-    agent = QrlAgent(model, scale.size, float(doc["gamma"]),
-                     target_sync_interval)
+    if not np.all(np.isfinite(scale)):
+        raise vqc.ModelFormatError("checkpoint action_scale must be finite")
+    if scale.size > model.num_qubits:
+        raise vqc.ModelFormatError(
+            f"checkpoint has {scale.size} action_scale entries for "
+            f"{model.num_qubits} qubit(s)")
+    gamma = float(doc["gamma"])
+    if not 0 < gamma < 1:
+        raise vqc.ModelFormatError(
+            f"checkpoint gamma must lie in (0, 1), got {gamma}")
+    agent = QrlAgent(model, scale.size, gamma, target_sync_interval)
     agent.action_scale = scale
     agent.step = int(doc["step"])
     agent.sync_target()

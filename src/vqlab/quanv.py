@@ -10,6 +10,7 @@ floor((H - k) / s) + 1 per axis.  All patches are evaluated as one batch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -64,14 +65,10 @@ class QuanvFilter:
 
     @classmethod
     def random(cls, k: int = 2, depth: int = 1, seed: int = 0,
-               stride: int = 1, v_min: float = 0.0, v_max: float = 1.0,
-               trainable_init: bool = False) -> "QuanvFilter":
-        """Seeded filter.  By default the circuit is a fixed random one
-        (angles uniform over a full turn); ``trainable_init`` switches to
-        the near-identity initialization used for training."""
-        init_scale = np.pi / 100 if trainable_init else np.pi
-        model = VqcModel.random(k * k, depth, seed=seed,
-                                init_scale=init_scale,
+               stride: int = 1, v_min: float = 0.0,
+               v_max: float = 1.0) -> "QuanvFilter":
+        """Seeded fixed random filter: angles uniform over a full turn."""
+        model = VqcModel.random(k * k, depth, seed=seed, init_scale=np.pi,
                                 encoding=EncodingSpec("none"))
         return cls(model, k, stride, v_min, v_max)
 
@@ -92,13 +89,12 @@ def quanv_forward(filt: QuanvFilter, map2d: np.ndarray) -> np.ndarray:
                                 filt.k, filt.stride)
     u = filt.model.num_qubits
     flat = np.stack([filt.normalize(p).reshape(u) for p, _ in patches])
-    enc = vqc.encoding_angles(flat, filt.model.encoding)
-    z = vqc.run_circuit_batch(filt.model, filt.model.params, enc_angles=enc)
+    z = vqc.run_circuit_batch(filt.model, filt.model.params, flat)
     return z.reshape(h_out, w_out, u)
 
 
 def load_map_csv(path: str) -> np.ndarray:
-    """Read an H x W real-valued map; errors cite the offending row/column."""
+    """Read an H x W map of finite reals; errors cite the row and column."""
     rows: List[List[float]] = []
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -108,11 +104,14 @@ def load_map_csv(path: str) -> np.ndarray:
             values = []
             for col_no, token in enumerate(line.split(","), start=1):
                 try:
-                    values.append(float(token))
+                    value = float(token)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ValueError(
                         f"{path}: row {line_no}, column {col_no}: "
-                        f"not a number: {token!r}") from None
+                        f"not a finite number: {token!r}")
+                values.append(value)
             if rows and len(values) != len(rows[0]):
                 raise ValueError(
                     f"{path}: row {line_no} has {len(values)} values, "

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -207,7 +207,7 @@ def encode(x: Sequence[float], spec: EncodingSpec, num_qubits: int) -> Statevect
         raise ValueError(
             f"expected input of length {num_qubits}, got shape {x.shape}")
     simcore.check_qubit_budget(num_qubits)
-    amps = _init_amps(num_qubits, encoding_angles(x, spec)[None, :], None)
+    amps = _input_states(VqcModel(num_qubits, 0, encoding=spec), [x])
     return Statevector(num_qubits, amps[0])
 
 
@@ -264,57 +264,48 @@ def _apply_gates(amps: np.ndarray, num_qubits: int, gates: list,
     return amps
 
 
-def _init_amps(num_qubits: int, enc_angles: Optional[np.ndarray],
-               basis_indices: Optional[np.ndarray]) -> np.ndarray:
-    """Input states: one basis state per index, or the product state
-    RY(enc_angles[b, w]) on wire w of |0...0> per row b."""
-    if basis_indices is not None:
-        amps = np.zeros((len(basis_indices), 2 ** num_qubits), complex)
-        amps[np.arange(len(basis_indices)), basis_indices] = 1.0
+def _input_states(model: VqcModel, observations) -> np.ndarray:
+    """(B, 2^U) input states for B observations.
+
+    Shape (B,) holds basis-state indices, which must be integers in
+    [0, 2^U).  Shape (B, U) holds real vectors; row b becomes the product
+    state RY(encoding_angles(x_b)[w]) on wire w of |0...0>.
+    """
+    u = model.num_qubits
+    obs = np.asarray(observations)
+    if obs.ndim == 1:
+        if obs.dtype.kind not in "iu" or np.any((obs < 0) | (obs >= 2 ** u)):
+            raise ValueError(
+                f"basis indices must be integers in [0, {2 ** u}), got {obs}")
+        amps = np.zeros((obs.size, 2 ** u), complex)
+        amps[np.arange(obs.size), obs] = 1.0
         return amps
-    c, s = np.cos(enc_angles / 2.0), np.sin(enc_angles / 2.0)
-    amps = np.ones((len(enc_angles), 1), complex)
-    for w in range(num_qubits):
+    if obs.ndim != 2 or obs.shape[1] != u:
+        raise ValueError(
+            f"expected input of length {u}, got shape {obs.shape[1:]}")
+    angles = encoding_angles(obs, model.encoding)
+    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    amps = np.ones((len(obs), 1), complex)
+    for w in range(u):
         # wire w becomes the next, less significant bit of the index
         amps = np.stack([amps * c[:, w, None], amps * s[:, w, None]], axis=-1)
-        amps = amps.reshape(len(enc_angles), -1)
+        amps = amps.reshape(len(obs), 2 ** (w + 1))
     return amps
 
 
 def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
-                      enc_angles: Optional[np.ndarray] = None,
-                      basis_indices: Optional[np.ndarray] = None) -> np.ndarray:
+                      observations) -> np.ndarray:
     """Z expectations, shape (B, U), for B circuits evaluated at once.
 
-    Exactly one of ``enc_angles`` (B, U) or ``basis_indices`` (B,) selects
-    the input state per row, and so the batch size.  ``thetas`` is the
-    flat (3UL,) parameter vector that every row shares, or (B, 3UL).
+    ``observations`` are B basis-state indices, shape (B,), or B real
+    vectors for the angle encoding, shape (B, U); they set each row's
+    input state and so the batch size.  ``thetas`` is the flat (3UL,)
+    parameter vector that every row shares, or (B, 3UL).
     """
     u = model.num_qubits
-    amps = _apply_gates(_init_amps(u, enc_angles, basis_indices), u,
+    amps = _apply_gates(_input_states(model, observations), u,
                         _circuit_gates(model), thetas)
     return simcore.expect_z_batch(amps, u, range(u))
-
-
-def _repeat_inputs(enc_angles, basis_indices, times: int) -> dict:
-    """run_circuit_batch inputs with each row repeated ``times`` times."""
-    if basis_indices is not None:
-        return {"basis_indices": np.repeat(basis_indices, times)}
-    return {"enc_angles": np.repeat(enc_angles, times, axis=0)}
-
-
-def _prepare_input(model: VqcModel, x):
-    """Split a forward input into (enc_angles, basis_indices), batch of 1."""
-    if isinstance(x, (int, np.integer)):
-        if not 0 <= x < 2 ** model.num_qubits:
-            raise ValueError(
-                f"basis index {x} out of range for {model.num_qubits} qubit(s)")
-        return None, np.array([int(x)])
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.num_qubits,):
-        raise ValueError(
-            f"expected input of length {model.num_qubits}, got shape {x.shape}")
-    return encoding_angles(x, model.encoding)[None, :], None
 
 
 def forward(model: VqcModel, x,
@@ -324,8 +315,7 @@ def forward(model: VqcModel, x,
     ``x`` is a length-U real vector, or a basis-state index for discrete
     observations.
     """
-    enc, basis = _prepare_input(model, x)
-    z = run_circuit_batch(model, model.params, enc, basis)[0]
+    z = run_circuit_batch(model, model.params, [x])[0]
     if measurement.mode == "analytic":
         return z
     rng = np.random.default_rng(measurement.seed)
@@ -337,25 +327,22 @@ def forward(model: VqcModel, x,
     return out
 
 
-def grad_batch(model: VqcModel, upstreams: np.ndarray,
-               enc_angles: Optional[np.ndarray] = None,
-               basis_indices: Optional[np.ndarray] = None,
+def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
                shift: Optional[float] = None) -> np.ndarray:
-    """Exact gradients for n inputs at once; shape (n, 3UL).
+    """Exact gradients for n observations at once; shape (n, 3UL).
 
-    Row i is d(upstreams[i] . z_i)/d(theta) where z_i is the analytic
-    forward output for input i.  By default (``shift=None``) this is the
+    ``observations`` are n basis-state indices, shape (n,), or n real
+    vectors, shape (n, U), as :func:`run_circuit_batch` takes them.  Row i
+    is d(upstreams[i] . z_i)/d(theta) where z_i is the analytic forward
+    output for observation i.  By default (``shift=None``) this is the
     adjoint method that training uses: n forward rows and one reverse
     sweep.  An explicit ``shift`` runs the parameter-shift rule instead,
     all 2 * 3UL * n shifted circuits as a single batch; that is the path
     of :func:`parameter_shift_grad`.
     """
-    n_params = model.num_params
-    if n_params == 0:
-        return np.zeros((upstreams.shape[0], 0))
     if shift is None:
-        return _adjoint_grad(model, upstreams, enc_angles, basis_indices)
-    n = upstreams.shape[0]
+        return _adjoint_grad(model, upstreams, observations)
+    n, n_params = upstreams.shape[0], model.num_params
     theta = model.params
     # rows: input-major, then parameter, then (+, -) shift
     thetas = np.tile(theta, (n * n_params * 2, 1))
@@ -364,16 +351,15 @@ def grad_batch(model: VqcModel, upstreams: np.ndarray,
     block[2 * k, k] = shift
     block[2 * k + 1, k] = -shift
     thetas += np.tile(block, (n, 1))
-    z = run_circuit_batch(model, thetas, **_repeat_inputs(
-        enc_angles, basis_indices, n_params * 2))
+    z = run_circuit_batch(model, thetas, np.repeat(
+        np.asarray(observations), n_params * 2, axis=0))
     z = z.reshape(n, n_params, 2, model.num_qubits)
     df = (z[:, :, 0, :] - z[:, :, 1, :]) / 2.0
     return np.einsum("npw,nw->np", df, upstreams)
 
 
 def _adjoint_grad(model: VqcModel, upstreams: np.ndarray,
-                  enc_angles: Optional[np.ndarray],
-                  basis_indices: Optional[np.ndarray]) -> np.ndarray:
+                  observations) -> np.ndarray:
     """Adjoint differentiation (Jones & Gacon 2020, arXiv:2009.02823).
 
     After the forward pass to psi, lambda = sum_w upstream_w Z_w psi.  The
@@ -385,8 +371,7 @@ def _adjoint_grad(model: VqcModel, upstreams: np.ndarray,
     u = model.num_qubits
     theta = model.params
     gates = _circuit_gates(model)
-    psi = _apply_gates(_init_amps(u, enc_angles, basis_indices), u, gates,
-                       theta)
+    psi = _apply_gates(_input_states(model, observations), u, gates, theta)
     lam = sum(upstreams[:, wire, None] * simcore.apply_z_batch(psi, u, wire)
               for wire in range(u))
     pair = np.stack([psi, lam])
@@ -436,8 +421,7 @@ def parameter_shift_grad(model: VqcModel, x, upstream: np.ndarray,
         raise ValueError(
             f"expected upstream of length {model.num_qubits}, "
             f"got shape {upstream.shape}")
-    enc, basis = _prepare_input(model, x)
-    return grad_batch(model, upstream[None, :], enc, basis, shift=shift)[0]
+    return grad_batch(model, upstream[None, :], [x], shift=shift)[0]
 
 
 def finite_diff_grad(model: VqcModel, x, upstream: np.ndarray,
@@ -447,14 +431,12 @@ def finite_diff_grad(model: VqcModel, x, upstream: np.ndarray,
         raise ValueError(f"h must be in [1e-6, 1e-2], got {h}")
     upstream = np.asarray(upstream, dtype=np.float64)
     n_params = model.num_params
-    enc, basis = _prepare_input(model, x)
     theta = model.params
     thetas = np.tile(theta, (n_params * 2, 1))
     k = np.arange(n_params)
     thetas[2 * k, k] += h
     thetas[2 * k + 1, k] -= h
-    z = run_circuit_batch(model, thetas,
-                          **_repeat_inputs(enc, basis, n_params * 2))
+    z = run_circuit_batch(model, thetas, np.repeat([x], n_params * 2, axis=0))
     z = z.reshape(n_params, 2, model.num_qubits)
     df = (z[:, 0, :] - z[:, 1, :]) / (2.0 * h)
     return df @ upstream

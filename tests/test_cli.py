@@ -34,6 +34,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.json")
 
+    def test_measurement_section_rejected(self, tmp_path):
+        path = write_config(tmp_path, {
+            "schema": "vqlab-v1",
+            "measurement": {"mode": "bogus", "shots": -3}})
+        with pytest.raises(ConfigError, match="measurement"):
+            load_config(path)
+
     def test_invalid_json_cites_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")
@@ -60,6 +67,41 @@ class TestGradCheck:
     def test_bad_config_is_validation_error(self, tmp_path):
         config = write_config(tmp_path, {"schema": "vqlab-v1", "oops": 1})
         assert main(["grad-check", "--config", config]) == 1
+
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--qubits", "0"], "max_qubits"),
+        (["--depth", "0"], "max_depth"),
+    ])
+    def test_zero_flag_is_rejected(self, flags, key, capsys):
+        assert main(["grad-check", "--seed", "0"] + flags) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["trials", "max_qubits", "max_depth"])
+    def test_non_positive_config_value_named(self, tmp_path, key, capsys):
+        config = write_config(tmp_path, {"schema": "vqlab-v1",
+                                         "grad_check": {key: -5}})
+        assert main(["grad-check", "--config", config, "--seed", "0"]) == 1
+        assert key in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Usage errors exit 1 and name the offending flag or argument."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["grad-check", "--shots", "3"], "--shots"),
+        (["grad-check", "--analytic"], "--analytic"),
+        (["grad-check", "--out", "x"], "--out"),
+        (["grad-check", "--episodes", "5"], "--episodes"),
+        (["quanv", "missing.csv", "--qubits", "9"], "--qubits"),
+        (["quanv", "missing.csv", "--episodes", "5"], "--episodes"),
+        (["quanv"], "map"),
+        (["quanv", "missing.csv"], "missing.csv"),
+        (["train-qrl", "--seed", "x"], "--seed"),
+    ])
+    def test_exits_1_naming_flag(self, argv, flag, capsys):
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
 
 
 class TestTrainQrl:
@@ -138,6 +180,15 @@ class TestQuanv:
                          "--out", str(out)]) == 0
         assert (out_a / "quanv_output.json").read_bytes() == \
             (out_b / "quanv_output.json").read_bytes()
+
+    def test_depth_flag_zero_is_used(self, tmp_path):
+        # depth 0 leaves only the encoding: <Z> = cos(0) = 1 on a zero map
+        map_path = self.write_map(tmp_path, np.zeros((3, 3)).tolist())
+        out = tmp_path / "q"
+        assert main(["quanv", map_path, "--seed", "3", "--depth", "0",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "quanv_output.json").read_text())
+        assert np.allclose(doc["data"], 1.0, atol=1e-12)
 
     def test_ragged_csv_cites_row(self, tmp_path, capsys):
         path = tmp_path / "map.csv"

@@ -187,13 +187,12 @@ class TestTrainStep:
 
         # replicate the analytic theta gradient the way train_step builds it
         from vqlab import vqc
-        enc, basis = qrl._batch_inputs(agent.online, states)
         z = qrl._z_batch(agent.online, states)
         pred = agent.action_scale[actions] * z[np.arange(2), actions]
         _, dpred = optim.loss_and_grad(MSE, pred, targets)
         upstream = np.zeros((2, 4))
         upstream[np.arange(2), actions] = dpred * agent.action_scale[actions]
-        analytic = vqc.grad_batch(agent.online, upstream, enc, basis).sum(0)
+        analytic = vqc.grad_batch(agent.online, upstream, states).sum(0)
 
         h = 1e-5
         theta = agent.online.params
@@ -296,6 +295,18 @@ class TestCheckpoint:
         with pytest.raises(ModelFormatError, match=key):
             agent_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value", [
+        ("action_scale", [float("nan"), 1.0, 1.0, 1.0]),
+        ("action_scale", [1.0] * 6),
+        ("gamma", 7.0),
+        ("gamma", 0.0),
+    ])
+    def test_bad_value_named(self, key, value):
+        doc = json.loads(agent_to_json(frozenlake_agent()))
+        doc[key] = value
+        with pytest.raises(ModelFormatError, match=key):
+            agent_from_json(json.dumps(doc))
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
@@ -303,6 +314,9 @@ class TestConfigValidation:
         ("lr", -1.0),
         ("warmup", -5),
         ("num_qubits", 0),
+        ("epsilon_decay", 2.0),
+        ("epsilon_decay", -1.0),
+        ("epsilon_decay", 0.0),
     ])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):

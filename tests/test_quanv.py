@@ -147,6 +147,13 @@ class TestIo:
         with pytest.raises(ValueError, match="row 2, column 2"):
             load_map_csv(str(path))
 
+    @pytest.mark.parametrize("token", ["inf", "nan", "-inf"])
+    def test_csv_non_finite_cites_position(self, tmp_path, token):
+        path = tmp_path / "map.csv"
+        path.write_text(f"0.0,0.5\n1.0,{token}\n")
+        with pytest.raises(ValueError, match="row 2, column 2"):
+            load_map_csv(str(path))
+
     def test_csv_ragged_row_cited(self, tmp_path):
         path = tmp_path / "map.csv"
         path.write_text("0.0,0.5\n1.0\n")

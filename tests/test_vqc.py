@@ -180,6 +180,12 @@ class TestForward:
         out = forward(model, 5)  # |101>
         assert np.allclose(out, [-1.0, 1.0, -1.0])
 
+    def test_integer_vector_is_angle_input(self):
+        # the input's shape, not its dtype, picks basis vs angle encoding
+        model = VqcModel.random(2, 1, seed=4, init_scale=np.pi)
+        assert np.array_equal(forward(model, [0, 1]),
+                              forward(model, [0.0, 1.0]))
+
     def test_shots_mode_matches_analytic(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, max_qubits=3)
@@ -215,15 +221,22 @@ class TestRunCircuitBatch:
             model = random_model(rng, max_qubits=5)
             u, n = model.num_qubits, int(rng.integers(1, 9))
             if trial % 2:
-                inputs = {"basis_indices": rng.integers(0, 2 ** u, n)}
+                observations = rng.integers(0, 2 ** u, n)
             else:
-                inputs = {"enc_angles": vqc.encoding_angles(
-                    rng.normal(size=(n, u)), SIGMOID)}
-            flat = vqc.run_circuit_batch(model, model.params, **inputs)
+                observations = rng.normal(size=(n, u))
+            flat = vqc.run_circuit_batch(model, model.params, observations)
             tiled = vqc.run_circuit_batch(
-                model, np.tile(model.params, (n, 1)), **inputs)
+                model, np.tile(model.params, (n, 1)), observations)
             assert flat.shape == tiled.shape == (n, u)
             assert np.max(np.abs(flat - tiled)) <= 1e-12
+
+
+    @pytest.mark.parametrize("observations", [
+        [4], [-1], [0.5], [True], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]])
+    def test_bad_observations_rejected(self, observations):
+        model = VqcModel(2, 1)
+        with pytest.raises(ValueError):
+            vqc.run_circuit_batch(model, model.params, observations)
 
 
 class TestGradients:
@@ -304,13 +317,11 @@ class TestAdjointGradients:
             n = int(rng.integers(2, 9))
             upstreams = rng.normal(size=(n, u))
             if trial % 4 < 2:
-                inputs = {"basis_indices": rng.integers(0, 2 ** u, n)}
+                observations = rng.integers(0, 2 ** u, n)
             else:
-                inputs = {"enc_angles": np.stack(
-                    [vqc.encoding_angles(x, SIGMOID)
-                     for x in rng.normal(size=(n, u))])}
-            adjoint = vqc.grad_batch(model, upstreams, **inputs)
-            shifted = vqc.grad_batch(model, upstreams, **inputs,
+                observations = rng.normal(size=(n, u))
+            adjoint = vqc.grad_batch(model, upstreams, observations)
+            shifted = vqc.grad_batch(model, upstreams, observations,
                                      shift=vqc.SHIFT)
             assert adjoint.shape == shifted.shape == (n, model.num_params)
             if adjoint.size:
@@ -319,8 +330,7 @@ class TestAdjointGradients:
 
     def test_depth_zero_has_no_columns(self):
         model = VqcModel(3, 0)
-        grads = vqc.grad_batch(model, np.ones((5, 3)),
-                               basis_indices=np.arange(5))
+        grads = vqc.grad_batch(model, np.ones((5, 3)), np.arange(5))
         assert grads.shape == (5, 0)
 
 
