@@ -68,7 +68,6 @@ class TestGradCheck:
         config = write_config(tmp_path, {"schema": "vqlab-v1", "oops": 1})
         assert main(["grad-check", "--config", config]) == 1
 
-
     @pytest.mark.parametrize("flags, key", [
         (["--qubits", "0"], "max_qubits"),
         (["--depth", "0"], "max_depth"),

@@ -230,7 +230,6 @@ class TestRunCircuitBatch:
             assert flat.shape == tiled.shape == (n, u)
             assert np.max(np.abs(flat - tiled)) <= 1e-12
 
-
     @pytest.mark.parametrize("observations", [
         [4], [-1], [0.5], [True], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]])
     def test_bad_observations_rejected(self, observations):
@@ -284,6 +283,12 @@ class TestGradients:
         with pytest.raises(ValueError):
             parameter_shift_grad(model, np.zeros(1), np.ones(1),
                                  MeasurementConfig("shots", 10, 0))
+
+    def test_depth_zero_has_empty_gradient(self):
+        model = VqcModel(2, 0)
+        for x in (np.zeros(2), 3):
+            assert parameter_shift_grad(model, x, np.ones(2)).shape == (0,)
+            assert finite_diff_grad(model, x, np.ones(2)).shape == (0,)
 
     def test_finite_diff_h_range(self):
         model = VqcModel(1, 1)
