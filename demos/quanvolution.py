@@ -5,7 +5,7 @@ Run with:  python3 demos/quanvolution.py
 
 import numpy as np
 
-from vqlab.quanv import QuanvFilter, output_shape, quanv_forward
+from vqlab.quanv import QuanvFilter, quanv_forward
 
 
 def main():
@@ -17,11 +17,10 @@ def main():
         map2d[i, i] = 1.0
 
     filt = QuanvFilter.random(k=2, depth=1, seed=3, stride=2)
-    h_out, w_out = output_shape(8, 8, filt.k, filt.stride)
-    print(f"8x8 map, {filt.k}x{filt.k} patches, stride {filt.stride} "
-          f"-> {h_out}x{w_out}x{filt.model.num_qubits} channels")
-
     out = quanv_forward(filt, map2d)
+    h_out, w_out, channels = out.shape
+    print(f"8x8 map, {filt.k}x{filt.k} patches, stride {filt.stride} "
+          f"-> {h_out}x{w_out}x{channels} channels")
     for channel in range(out.shape[2]):
         print(f"\nchannel {channel} (<Z> on wire {channel}):")
         for row in out[:, :, channel]:

@@ -193,9 +193,12 @@ def write_metrics_csv(path: Path, metrics: list) -> None:
 def cmd_train_qrl(args) -> int:
     config = load_config(args.config)
     seed = resolve_seed(args, config)
-    out = resolve_out(args, config)
     qrl_config = _qrl_config(args, config, seed)
     eval_episodes = int(config.get("qrl", {}).get("eval_episodes", 100))
+    if eval_episodes < 1:
+        raise ConfigError(
+            f"qrl eval_episodes must be >= 1, got {eval_episodes}")
+    out = resolve_out(args, config)
 
     started = time.monotonic()
     agent, metrics = qrl.run_training(qrl_config)
@@ -227,17 +230,20 @@ def cmd_quanv(args) -> int:
         raise ConfigError(f"map file not found: {args.map}")
     config = load_config(args.config)
     seed = resolve_seed(args, config)
-    out = resolve_out(args, config)
     section = dict(config.get("quanv", {}))
     if args.depth is not None:
         section["depth"] = args.depth
+    k = int(section.get("k", 2))
+    if k < 1:
+        raise ConfigError(f"quanv k must be >= 1, got {k}")
     filt = quanv.QuanvFilter.random(
-        k=int(section.get("k", 2)),
+        k=k,
         depth=int(section.get("depth", 1)),
         stride=int(section.get("stride", 2)),
         v_min=float(section.get("v_min", 0.0)),
         v_max=float(section.get("v_max", 1.0)),
         seed=seed)
+    out = resolve_out(args, config)
     map2d = quanv.load_map_csv(args.map)
     output = quanv.quanv_forward(filt, map2d)
     result_path = out / "quanv_output.json"

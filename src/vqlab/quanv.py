@@ -4,7 +4,8 @@ Each k x k patch is flattened row-major, affinely rescaled from a
 declared input range into [0, 1], turned into rotation angles, and run
 through the filter circuit; the U per-wire Z expectations become the U
 output channels at that patch position.  No padding; output extent is
-floor((H - k) / s) + 1 per axis.  All patches are evaluated as one batch.
+floor((H - k) / s) + 1 per axis.  The map is rescaled once, its patches
+are taken as one strided read-only view, and all of them run as one batch.
 """
 
 from __future__ import annotations
@@ -12,17 +13,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import vqc
 from .vqc import EncodingSpec, VqcModel
 
 
-def extract_patches(map2d: np.ndarray, k: int,
-                    stride: int) -> List[Tuple[np.ndarray, Tuple[int, int]]]:
-    """Row-major (patch, (row, col)) list; no padding."""
+def extract_patches(map2d: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Read-only (H', W', k, k) view of the map; no padding, no copies.
+
+    patches[i, j] is the k x k window at row i * stride, column j * stride.
+    """
     map2d = np.asarray(map2d, dtype=np.float64)
     if map2d.ndim != 2:
         raise ValueError(f"expected a 2D map, got shape {map2d.shape}")
@@ -31,11 +35,7 @@ def extract_patches(map2d: np.ndarray, k: int,
         raise ValueError("patch size and stride must be >= 1")
     if h < k or w < k:
         raise ValueError(f"map {h}x{w} smaller than patch {k}x{k}")
-    patches = []
-    for r in range(0, h - k + 1, stride):
-        for c in range(0, w - k + 1, stride):
-            patches.append((map2d[r:r + k, c:c + k].copy(), (r, c)))
-    return patches
+    return sliding_window_view(map2d, (k, k))[::stride, ::stride]
 
 
 @dataclass
@@ -72,25 +72,19 @@ class QuanvFilter:
                                 encoding=EncodingSpec("none"))
         return cls(model, k, stride, v_min, v_max)
 
-    def normalize(self, patch: np.ndarray) -> np.ndarray:
-        scaled = (patch - self.v_min) / (self.v_max - self.v_min)
+    def normalize(self, values: np.ndarray) -> np.ndarray:
+        scaled = (values - self.v_min) / (self.v_max - self.v_min)
         return np.clip(scaled, 0.0, 1.0)
-
-
-def output_shape(h: int, w: int, k: int, stride: int) -> Tuple[int, int]:
-    return (h - k) // stride + 1, (w - k) // stride + 1
 
 
 def quanv_forward(filt: QuanvFilter, map2d: np.ndarray) -> np.ndarray:
     """Apply the filter everywhere; result shape (H', W', U)."""
-    map2d = np.asarray(map2d, dtype=np.float64)
-    patches = extract_patches(map2d, filt.k, filt.stride)
-    h_out, w_out = output_shape(map2d.shape[0], map2d.shape[1],
-                                filt.k, filt.stride)
+    unit = filt.normalize(np.asarray(map2d, dtype=np.float64))
+    windows = extract_patches(unit, filt.k, filt.stride)
     u = filt.model.num_qubits
-    flat = np.stack([filt.normalize(p).reshape(u) for p, _ in patches])
-    z = vqc.run_circuit_batch(filt.model, filt.model.params, flat)
-    return z.reshape(h_out, w_out, u)
+    z = vqc.run_circuit_batch(filt.model, filt.model.params,
+                              windows.reshape(-1, u))
+    return z.reshape(windows.shape[:2] + (u,))
 
 
 def load_map_csv(path: str) -> np.ndarray:
@@ -126,5 +120,5 @@ def output_to_json(output: np.ndarray) -> str:
     """{"shape": [H', W', U], "data": row-major flattened reals}."""
     return json.dumps({
         "shape": list(output.shape),
-        "data": [float(v) for v in output.reshape(-1)],
+        "data": output.reshape(-1).tolist(),
     })

@@ -2,7 +2,9 @@
 
 Pipeline: RY angle encoding of a classical vector (or a basis-state index
 for discrete observations), L layers of entangler CNOTs and one fused
-RX-RY-RZ rotation per wire, per-wire Pauli-Z readout.
+RX-RY-RZ rotation per wire, per-wire Pauli-Z readout.  Readouts are
+analytic expectations; shot sampling lives only in
+:func:`simcore.sample_z_mean`.
 
 Gradients w.r.t. the rotation angles are exact two ways.  Training uses
 adjoint differentiation (:func:`grad_batch` by default): one forward pass
@@ -161,24 +163,6 @@ class VqcModel:
                 and np.array_equal(self._params, other._params))
 
 
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """Analytic expectations, or an M-shot average per wire."""
-
-    mode: str = "analytic"
-    shots: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("analytic", "shots"):
-            raise ValueError(f"unknown measurement mode {self.mode!r}")
-        if self.mode == "shots" and self.shots < 1:
-            raise ValueError("shots must be >= 1")
-
-
-ANALYTIC = MeasurementConfig()
-
-
 def phi(x, spec: EncodingSpec):
     """Encoding nonlinearity, elementwise; a float for a scalar ``x``."""
     x = np.array(x, dtype=np.float64)
@@ -206,7 +190,6 @@ def encode(x: Sequence[float], spec: EncodingSpec, num_qubits: int) -> Statevect
     if x.shape != (num_qubits,):
         raise ValueError(
             f"expected input of length {num_qubits}, got shape {x.shape}")
-    simcore.check_qubit_budget(num_qubits)
     amps = _input_states(VqcModel(num_qubits, 0, encoding=spec), [x])
     return Statevector(num_qubits, amps[0])
 
@@ -265,13 +248,14 @@ def _apply_gates(amps: np.ndarray, num_qubits: int, gates: list,
 
 
 def _input_states(model: VqcModel, observations) -> np.ndarray:
-    """(B, 2^U) input states for B observations.
+    """(B, 2^U) input states for B observations, within the qubit cap.
 
     Shape (B,) holds basis-state indices, which must be integers in
     [0, 2^U).  Shape (B, U) holds real vectors; row b becomes the product
     state RY(encoding_angles(x_b)[w]) on wire w of |0...0>.
     """
     u = model.num_qubits
+    simcore.check_qubit_budget(u)
     obs = np.asarray(observations)
     if obs.ndim == 1:
         if obs.dtype.kind not in "iu" or np.any((obs < 0) | (obs >= 2 ** u)):
@@ -308,23 +292,13 @@ def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
     return simcore.expect_z_batch(amps, u, range(u))
 
 
-def forward(model: VqcModel, x,
-            measurement: MeasurementConfig = ANALYTIC) -> np.ndarray:
+def forward(model: VqcModel, x) -> np.ndarray:
     """Encode -> L layers -> per-wire Z readout; each output in [-1, 1].
 
     ``x`` is a length-U real vector, or a basis-state index for discrete
     observations.
     """
-    z = run_circuit_batch(model, model.params, [x])[0]
-    if measurement.mode == "analytic":
-        return z
-    rng = np.random.default_rng(measurement.seed)
-    p_plus = (1.0 + z) / 2.0
-    out = np.empty_like(z)
-    for wire in range(model.num_qubits):
-        outcomes = np.where(rng.random(measurement.shots) < p_plus[wire], 1.0, -1.0)
-        out[wire] = outcomes.mean()
-    return out
+    return run_circuit_batch(model, model.params, [x])[0]
 
 
 def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
@@ -407,15 +381,12 @@ def _block_generators(angles: np.ndarray) -> np.ndarray:
 
 
 def parameter_shift_grad(model: VqcModel, x, upstream: np.ndarray,
-                         measurement: MeasurementConfig = ANALYTIC,
                          shift: float = SHIFT) -> np.ndarray:
     """Exact gradient of upstream . forward(model, x) w.r.t. the flat params.
 
     ``shift`` exists as a negative-control hook; anything other than pi/2
     breaks exactness on purpose.
     """
-    if measurement.mode != "analytic":
-        raise ValueError("gradients are only supported in analytic mode")
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (model.num_qubits,):
         raise ValueError(

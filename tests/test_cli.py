@@ -145,6 +145,16 @@ class TestTrainQrl:
                      "--out", str(tmp_path / "x")]) == 1
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_bad_eval_episodes_rejected_before_training(self, tmp_path,
+                                                        value, capsys):
+        config = self.config(tmp_path, eval_episodes=value)
+        out = tmp_path / "x"
+        assert main(["train-qrl", "--config", config, "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert "eval_episodes" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_episode_flag_overrides_config(self, tmp_path):
         config = self.config(tmp_path)
         out = tmp_path / "o"
@@ -188,6 +198,24 @@ class TestQuanv:
                      "--out", str(out)]) == 0
         doc = json.loads((out / "quanv_output.json").read_text())
         assert np.allclose(doc["data"], 1.0, atol=1e-12)
+
+    def test_zero_patch_size_names_key(self, tmp_path, capsys):
+        map_path = self.write_map(tmp_path, np.zeros((3, 3)).tolist())
+        config = write_config(tmp_path, {"schema": "vqlab-v1",
+                                         "quanv": {"k": 0}})
+        assert main(["quanv", map_path, "--config", config, "--seed", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "quanv k" in err and "num_qubits" not in err
+
+    def test_patch_over_qubit_cap_is_resource_error(self, tmp_path, capsys):
+        # k=5 needs 25 qubits; the engine refuses before allocating
+        map_path = self.write_map(tmp_path, np.zeros((5, 5)).tolist())
+        config = write_config(tmp_path, {"schema": "vqlab-v1",
+                                         "quanv": {"k": 5}})
+        assert main(["quanv", map_path, "--config", config, "--seed", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "cap is 24 qubits" in capsys.readouterr().err
 
     def test_ragged_csv_cites_row(self, tmp_path, capsys):
         path = tmp_path / "map.csv"

@@ -5,28 +5,50 @@ import pytest
 
 from vqlab import simcore, vqc
 from vqlab.quanv import (QuanvFilter, extract_patches, load_map_csv,
-                         output_shape, output_to_json, quanv_forward)
+                         output_to_json, quanv_forward)
 
 
 def fixed_filter(seed=0, k=2, depth=1, stride=2):
     return QuanvFilter.random(k=k, depth=depth, seed=seed, stride=stride)
 
 
+def reference_forward(filt, map2d):
+    """Slice each window, normalize it, stack, run the circuit."""
+    k, s, u = filt.k, filt.stride, filt.model.num_qubits
+    h_out = (map2d.shape[0] - k) // s + 1
+    w_out = (map2d.shape[1] - k) // s + 1
+    rows = [filt.normalize(map2d[i * s:i * s + k, j * s:j * s + k]).reshape(u)
+            for i in range(h_out) for j in range(w_out)]
+    z = vqc.run_circuit_batch(filt.model, filt.model.params, np.stack(rows))
+    return z.reshape(h_out, w_out, u)
+
+
 class TestExtractPatches:
     def test_four_by_four_stride_two(self):
-        patches = extract_patches(np.arange(16.0).reshape(4, 4), 2, 2)
-        assert [anchor for _, anchor in patches] == [(0, 0), (0, 2), (2, 0),
-                                                     (2, 2)]
-        assert np.array_equal(patches[1][0], [[2, 3], [6, 7]])
+        map2d = np.arange(16.0).reshape(4, 4)
+        patches = extract_patches(map2d, 2, 2)
+        assert patches.shape == (2, 2, 2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(patches[i, j],
+                                      map2d[2 * i:2 * i + 2, 2 * j:2 * j + 2])
+        assert np.array_equal(patches[0, 1], [[2, 3], [6, 7]])
 
     def test_full_size_patch(self):
-        patches = extract_patches(np.ones((3, 3)), 3, 1)
-        assert len(patches) == 1
-        assert patches[0][1] == (0, 0)
+        map2d = np.arange(9.0).reshape(3, 3)
+        patches = extract_patches(map2d, 3, 1)
+        assert patches.shape == (1, 1, 3, 3)
+        assert np.array_equal(patches[0, 0], map2d)
 
     def test_floor_law(self):
         patches = extract_patches(np.ones((3, 3)), 2, 2)
-        assert len(patches) == 1
+        assert patches.shape == (1, 1, 2, 2)
+
+    def test_view_refuses_writes(self):
+        patches = extract_patches(np.zeros((4, 5)), 2, 1)
+        assert not patches.flags.writeable
+        with pytest.raises(ValueError):
+            patches[0, 0, 0, 0] = 1.0
 
     def test_map_smaller_than_patch(self):
         with pytest.raises(ValueError):
@@ -36,9 +58,13 @@ class TestExtractPatches:
                                          (8, 8, 3, 2), (6, 4, 2, 3),
                                          (9, 9, 3, 3)])
     def test_count_matches_shape_law(self, h, w, k, s):
-        patches = extract_patches(np.zeros((h, w)), k, s)
-        h_out, w_out = output_shape(h, w, k, s)
-        assert len(patches) == h_out * w_out
+        map2d = np.arange(float(h * w)).reshape(h, w)
+        patches = extract_patches(map2d, k, s)
+        assert patches.shape == ((h - k) // s + 1, (w - k) // s + 1, k, k)
+        for i in range(patches.shape[0]):
+            for j in range(patches.shape[1]):
+                assert np.array_equal(patches[i, j],
+                                      map2d[i * s:i * s + k, j * s:j * s + k])
 
 
 class TestQuanvFilter:
@@ -106,6 +132,23 @@ class TestQuanvForward:
             b[0, 1] = (b[0, 1] + 0.5) % 1.0
             diff = np.abs(quanv_forward(filt, a) - quanv_forward(filt, b))
             assert diff.max() > 1e-6
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_per_window_reference(self, k, stride):
+        rng = np.random.default_rng(10 * k + stride)
+        filt = QuanvFilter.random(k=k, depth=2, seed=k + stride,
+                                  stride=stride, v_min=-0.5, v_max=2.0)
+        for shape in ((k + 4, k + 7), (k + 6, k), (k, k + 3)):
+            map2d = rng.uniform(-1.0, 2.5, shape)
+            assert np.array_equal(quanv_forward(filt, map2d),
+                                  reference_forward(filt, map2d))
+
+    def test_input_map_unchanged(self):
+        map2d = np.random.default_rng(5).uniform(-1.0, 2.0, (6, 7))
+        before = map2d.copy()
+        quanv_forward(fixed_filter(seed=7, stride=1), map2d)
+        assert np.array_equal(map2d, before)
 
     def test_single_patch_matches_dense_oracle(self):
         filt = fixed_filter(seed=6, stride=1)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from vqlab import simcore, vqc
-from vqlab.vqc import (EncodingSpec, MeasurementConfig, ModelFormatError,
-                       VqcModel, basis_encode, deserialize_model, encode,
+from vqlab.vqc import (EncodingSpec, ModelFormatError, VqcModel,
+                       basis_encode, deserialize_model, encode,
                        finite_diff_grad, forward, parameter_shift_grad, phi,
                        pqc_apply, serialize_model)
 
@@ -186,24 +186,6 @@ class TestForward:
         assert np.array_equal(forward(model, [0, 1]),
                               forward(model, [0.0, 1.0]))
 
-    def test_shots_mode_matches_analytic(self):
-        rng = np.random.default_rng(3)
-        model = random_model(rng, max_qubits=3)
-        x = rng.normal(size=model.num_qubits)
-        exact = forward(model, x)
-        inside = 0
-        for seed in range(100):
-            sampled = forward(model, x,
-                              MeasurementConfig("shots", 10_000, seed))
-            inside += int(np.max(np.abs(sampled - exact)) <= 0.05)
-        assert inside >= 99
-
-    def test_shots_mode_reproducible(self):
-        model = VqcModel(2, 0)
-        cfg = MeasurementConfig("shots", 50, seed=9)
-        assert np.array_equal(forward(model, np.ones(2), cfg),
-                              forward(model, np.ones(2), cfg))
-
     def test_encoding_injectivity_on_grid(self):
         model = VqcModel.random(2, 1, seed=42, init_scale=np.pi)
         grid = [np.array([a, b], dtype=float)
@@ -277,12 +259,6 @@ class TestGradients:
             fd = finite_diff_grad(model, x, upstream, h=1e-4)
             worst = max(worst, float(np.max(np.abs(ps - fd))))
         assert worst <= 1e-5
-
-    def test_shots_mode_unsupported(self):
-        model = VqcModel(1, 1)
-        with pytest.raises(ValueError):
-            parameter_shift_grad(model, np.zeros(1), np.ones(1),
-                                 MeasurementConfig("shots", 10, 0))
 
     def test_depth_zero_has_empty_gradient(self):
         model = VqcModel(2, 0)
