@@ -8,11 +8,13 @@ Subcommands:
   checkpoint.json and run_config.json under the output directory.
 * ``quanv``       — quanvolve a CSV feature map into an output JSON.
 
-Configuration is a JSON file (schema "vqlab-v1", unknown keys rejected)
-plus command-line flags; flags win.  Every command honors --seed; when no
-seed is given one is generated and echoed into the outputs so the run
-stays replayable.  Exit codes: 0 success, 1 validation error (bad config,
-input or usage), 2 runtime/resource error.
+Configuration is a JSON file (schema "vqlab-v1") plus command-line flags;
+flags win over the file, the file over the defaults in ``SECTIONS``, where
+each key is declared once.  ``load_config`` rejects unknown keys and any
+value whose type differs from its default's, non-finite numbers included.
+Every command honors --seed (a generated seed is echoed into the outputs);
+train-qrl's run_config.json, given back as --config, replays the run.
+Exit codes: 0 success, 1 validation error, 2 runtime/resource error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -51,24 +54,49 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_TOP_KEYS = {"schema", "seed", "out", "grad_check", "qrl", "quanv"}
-_GRAD_KEYS = {"trials", "max_qubits", "max_depth", "h", "tolerance", "shift"}
-_QRL_KEYS = {"env", "episodes", "num_qubits", "depth", "entangler", "gamma",
-             "buffer_capacity", "batch_size", "warmup", "epsilon_start",
-             "epsilon_end", "epsilon_decay", "target_sync_interval",
-             "optimizer", "lr", "init_scale", "loss", "huber_delta",
-             "eval_episodes"}
-_QUANV_KEYS = {"k", "depth", "stride", "v_min", "v_max"}
+# Every config key with its default, declared once.  A value must have its
+# default's type: an int passes for a float key, a bool for no numeric key,
+# a number must be finite, and a None default (entangler) takes null or a
+# string.  The top-level seed has no default; its 0 gives only the type.
+_QRL_EXTRAS = {"loss": "mse", "huber_delta": 1.0,  # not QrlConfig fields
+               "eval_episodes": 100}
+SECTIONS = {
+    "grad_check": {"trials": 100, "max_qubits": 4, "max_depth": 3,
+                   "h": 1e-4, "tolerance": 1e-5,
+                   "shift": math.pi / 2},  # shift: a test hook
+    "qrl": {**{f.name: f.default for f in fields(QrlConfig)
+               if f.name not in ("seed", "loss")}, **_QRL_EXTRAS},
+    "quanv": {"k": 2, "depth": 1, "stride": 2, "v_min": 0.0, "v_max": 1.0},
+}
+CONFIG_KEYS = {"schema": CONFIG_SCHEMA, "seed": 0, "out": "out", **SECTIONS}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _check_section(doc: dict, table: dict, where: str) -> None:
+    unknown = set(doc) - set(table)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        default = table[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            _check_section(value, default, key)
+            continue
+        if isinstance(default, str) or default is None:  # None: entangler
+            ok = isinstance(value, str) or value is default
+            kind = "null or a string" if default is None else "a string"
+        else:  # the bound also rejects the NaN, Infinity and 1e400 of JSON
+            ok = (isinstance(value, (int, type(default)))
+                  and not isinstance(value, bool)
+                  and abs(value) <= sys.float_info.max)
+            kind = "an integer" if type(default) is int else "a finite number"
+        if not ok:
+            raise ConfigError(f"{where} {key} must be {kind}, got {value!r}")
 
 
 def load_config(path: Optional[str]) -> dict:
+    """The parsed config, its keys and value types checked, unconverted."""
     if path is None:
         return {}
     try:
@@ -85,29 +113,28 @@ def load_config(path: Optional[str]) -> dict:
         raise ConfigError(
             f"{path}: schema must be {CONFIG_SCHEMA!r}, "
             f"got {doc.get('schema')!r}")
-    _check_keys(doc, _TOP_KEYS, "config")
-    for name, keys in (("grad_check", _GRAD_KEYS), ("qrl", _QRL_KEYS),
-                       ("quanv", _QUANV_KEYS)):
-        if name in doc:
-            if not isinstance(doc[name], dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            _check_keys(doc[name], keys, f"config section {name!r}")
+    _check_section(doc, CONFIG_KEYS, "config")
     return doc
 
 
+def resolved_section(config: dict, name: str, **flags) -> dict:
+    """The section's defaults, then its config values, then given flags."""
+    return {**SECTIONS[name], **config.get(name, {}),
+            **{k: v for k, v in flags.items() if v is not None}}
+
+
 def resolve_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in config:
-        return int(config["seed"])
-    seed = int(np.random.SeedSequence().entropy % 2 ** 31)
-    print(f"no seed given; generated seed {seed}")
+    seed = args.seed if args.seed is not None else config.get("seed")
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy % 2 ** 31)
+        print(f"no seed given; generated seed {seed}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
 def resolve_out(args, config: dict) -> Path:
-    out = args.out or config.get("out") or "out"
-    path = Path(out)
+    path = Path(args.out or config.get("out") or CONFIG_KEYS["out"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -117,22 +144,14 @@ def resolve_out(args, config: dict) -> Path:
 
 def cmd_grad_check(args) -> int:
     config = load_config(args.config)
-    section = dict(config.get("grad_check", {}))
-    if args.qubits is not None:
-        section["max_qubits"] = args.qubits
-    if args.depth is not None:
-        section["max_depth"] = args.depth
-    trials = int(section.get("trials", 100))
-    max_qubits = int(section.get("max_qubits", 4))
-    max_depth = int(section.get("max_depth", 3))
-    for key, value in (("trials", trials), ("max_qubits", max_qubits),
-                       ("max_depth", max_depth)):
-        if value < 1:
-            raise ConfigError(f"grad_check {key} must be >= 1, got {value}")
-    h = float(section.get("h", 1e-4))
-    tolerance = float(section.get("tolerance", 1e-5))
-    shift = float(section.get("shift", math.pi / 2))  # test hook
+    section = resolved_section(config, "grad_check", max_qubits=args.qubits,
+                               max_depth=args.depth)
+    for key in ("trials", "max_qubits", "max_depth"):
+        if section[key] < 1:
+            raise ConfigError(
+                f"grad_check {key} must be >= 1, got {section[key]}")
     seed = resolve_seed(args, config)
+    max_qubits = section["max_qubits"]
     if max_qubits > GRAD_CHECK_QUBIT_CAP:
         raise ResourceLimitError(
             f"grad-check runs 6*U*L shifted circuits of 2^{max_qubits} "
@@ -140,43 +159,23 @@ def cmd_grad_check(args) -> int:
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(section["trials"]):
         u = int(rng.integers(1, max_qubits + 1))
-        depth = int(rng.integers(1, max_depth + 1))
+        depth = int(rng.integers(1, section["max_depth"] + 1))
         model = VqcModel(u, depth, rng.uniform(-np.pi, np.pi, 3 * u * depth))
         x = rng.normal(size=u)
         upstream = rng.normal(size=u)
-        ps = vqc.parameter_shift_grad(model, x, upstream, shift=shift)
-        fd = vqc.finite_diff_grad(model, x, upstream, h=h)
+        ps = vqc.parameter_shift_grad(model, x, upstream,
+                                      shift=section["shift"])
+        fd = vqc.finite_diff_grad(model, x, upstream, h=section["h"])
         worst = max(worst, float(np.max(np.abs(ps - fd))) if ps.size else 0.0)
-    print(f"grad-check: {trials} trials, max |shift - central diff| = "
-          f"{worst:.3e} (tolerance {tolerance:.0e})")
-    return 0 if worst <= tolerance else 1
+    print(f"grad-check: {section['trials']} trials, max |shift - central "
+          f"diff| = {worst:.3e} (tolerance {section['tolerance']:.0e})")
+    return 0 if worst <= section["tolerance"] else 1
 
 
 # ---------------------------------------------------------------------------
 # train-qrl
-
-def _qrl_config(args, config: dict, seed: int) -> QrlConfig:
-    section = dict(config.get("qrl", {}))
-    section.pop("eval_episodes", None)
-    loss_kind = section.pop("loss", "mse")
-    delta = float(section.pop("huber_delta", 1.0))
-    try:
-        loss = Loss(loss_kind, delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if args.episodes is not None:
-        section["episodes"] = args.episodes
-    if args.qubits is not None:
-        section["num_qubits"] = args.qubits
-    if args.depth is not None:
-        section["depth"] = args.depth
-    try:
-        return QrlConfig(seed=seed, loss=loss, **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid qrl config: {exc}") from None
-
 
 def write_metrics_csv(path: Path, metrics: list) -> None:
     """One row per episode, flushed per row so interrupts leave valid rows."""
@@ -193,8 +192,15 @@ def write_metrics_csv(path: Path, metrics: list) -> None:
 def cmd_train_qrl(args) -> int:
     config = load_config(args.config)
     seed = resolve_seed(args, config)
-    qrl_config = _qrl_config(args, config, seed)
-    eval_episodes = int(config.get("qrl", {}).get("eval_episodes", 100))
+    section = resolved_section(config, "qrl", episodes=args.episodes,
+                               num_qubits=args.qubits, depth=args.depth)
+    try:
+        qrl_config = QrlConfig(
+            seed=seed, loss=Loss(section["loss"], section["huber_delta"]),
+            **{k: v for k, v in section.items() if k not in _QRL_EXTRAS})
+    except ValueError as exc:
+        raise ConfigError(f"invalid qrl config: {exc}") from None
+    eval_episodes = section["eval_episodes"]
     if eval_episodes < 1:
         raise ConfigError(
             f"qrl eval_episodes must be >= 1, got {eval_episodes}")
@@ -206,10 +212,7 @@ def cmd_train_qrl(args) -> int:
 
     write_metrics_csv(out / "metrics.csv", metrics)
     (out / "checkpoint.json").write_text(qrl.agent_to_json(agent))
-    resolved = {"schema": CONFIG_SCHEMA, "seed": seed,
-                "qrl": {k: v for k, v in vars(qrl_config).items()
-                        if k not in ("seed", "loss")},
-                "loss": qrl_config.loss.kind}
+    resolved = {"schema": CONFIG_SCHEMA, "seed": seed, "qrl": section}
     (out / "run_config.json").write_text(json.dumps(resolved, indent=2))
 
     summary = qrl.evaluate(agent, qrl_config.env, eval_episodes,
@@ -230,19 +233,10 @@ def cmd_quanv(args) -> int:
         raise ConfigError(f"map file not found: {args.map}")
     config = load_config(args.config)
     seed = resolve_seed(args, config)
-    section = dict(config.get("quanv", {}))
-    if args.depth is not None:
-        section["depth"] = args.depth
-    k = int(section.get("k", 2))
-    if k < 1:
-        raise ConfigError(f"quanv k must be >= 1, got {k}")
-    filt = quanv.QuanvFilter.random(
-        k=k,
-        depth=int(section.get("depth", 1)),
-        stride=int(section.get("stride", 2)),
-        v_min=float(section.get("v_min", 0.0)),
-        v_max=float(section.get("v_max", 1.0)),
-        seed=seed)
+    section = resolved_section(config, "quanv", depth=args.depth)
+    if section["k"] < 1:
+        raise ConfigError(f"quanv k must be >= 1, got {section['k']}")
+    filt = quanv.QuanvFilter.random(seed=seed, **section)
     out = resolve_out(args, config)
     map2d = quanv.load_map_csv(args.map)
     output = quanv.quanv_forward(filt, map2d)

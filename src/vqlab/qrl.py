@@ -88,8 +88,9 @@ class QrlConfig:
     def __post_init__(self):
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.episodes < 0:
-            raise ValueError("episodes must be >= 0")
+        for name in ("episodes", "warmup", "depth", "init_scale"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0 < self.epsilon_decay <= 1:
@@ -104,10 +105,12 @@ class QrlConfig:
             raise ValueError(
                 f"batch_size ({self.batch_size}) must not exceed "
                 f"buffer_capacity ({self.buffer_capacity})")
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
+        if self.entangler not in (None, *vqc.ENTANGLERS):
+            raise ValueError(f"unknown entangler {self.entangler!r}")
+        make_env(self.env)  # each raises naming its field when unknown
+        optim.make_optimizer(self.optimizer, self.lr)
 
 
 class QrlAgent:

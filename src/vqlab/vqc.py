@@ -118,9 +118,12 @@ class VqcModel:
                entangler: Optional[str] = None,
                encoding: Optional[EncodingSpec] = None) -> "VqcModel":
         """Near-identity initialization: uniform in (-init_scale, init_scale)."""
+        if not init_scale >= 0:
+            raise ValueError("init_scale must be >= 0")
+        model = cls(num_qubits, depth, None, entangler, encoding)
         rng = np.random.default_rng(seed)
-        params = rng.uniform(-init_scale, init_scale, 3 * num_qubits * depth)
-        return cls(num_qubits, depth, params, entangler, encoding)
+        model.params = rng.uniform(-init_scale, init_scale, model.num_params)
+        return model
 
     @property
     def num_params(self) -> int:

@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vqlab.cli import ConfigError, load_config, main
+from vqlab.cli import CONFIG_KEYS, SECTIONS, ConfigError, load_config, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -46,6 +48,102 @@ class TestConfigLoading:
         path.write_text("{\n  broken\n}")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(str(path))
+
+    def test_values_pass_unconverted(self, tmp_path):
+        # an int passes for a float key, and entangler may be null
+        path = write_config(tmp_path, {
+            "schema": "vqlab-v1", "seed": 3,
+            "qrl": {"lr": 1, "entangler": None, "huber_delta": 0.5},
+            "quanv": {"v_max": 2}})
+        doc = load_config(path)
+        assert doc["qrl"] == {"lr": 1, "entangler": None, "huber_delta": 0.5}
+        assert type(doc["qrl"]["lr"]) is int
+        assert type(doc["quanv"]["v_max"]) is int
+
+
+def run_command(tmp_path, command, config_text, *flags):
+    """Run one command on a raw config text; returns the exit code."""
+    config = tmp_path / "config.json"
+    config.write_text(config_text)
+    argv = [command, "--config", str(config), *flags]
+    if command != "grad-check":
+        argv += ["--out", str(tmp_path / "o")]
+    if command == "quanv":
+        map_path = tmp_path / "map.csv"
+        map_path.write_text("0,0,0\n" * 3)
+        argv.append(str(map_path))
+    return main(argv)
+
+
+class TestConfigTypes:
+    """A value of the wrong type, or a non-finite number, exits 1 before
+    any work, naming its section and key."""
+
+    @pytest.mark.parametrize("command, body, named", [
+        ("train-qrl", '"out": 5', "config out"),
+        ("train-qrl", '"seed": [1]', "config seed"),
+        ("grad-check", '"grad_check": {"trials": null}', "grad_check trials"),
+        ("quanv", '"quanv": {"k": null}', "quanv k"),
+        ("train-qrl", '"qrl": {"eval_episodes": null}', "qrl eval_episodes"),
+        ("train-qrl", '"qrl": {"episodes": 2.5}', "qrl episodes"),
+        ("train-qrl", '"qrl": {"batch_size": 2.5}', "qrl batch_size"),
+        ("train-qrl", '"qrl": {"episodes": "3"}', "qrl episodes"),
+        ("train-qrl", '"qrl": {"huber_delta": "x"}', "qrl huber_delta"),
+        ("quanv", '"quanv": {"v_max": Infinity}', "quanv v_max"),
+        ("train-qrl", '"qrl": {"lr": 1e400}', "qrl lr"),
+        ("train-qrl", '"qrl": {"episodes": true}', "qrl episodes"),
+        ("train-qrl", '"qrl": {"gamma": NaN}', "qrl gamma"),
+        ("grad-check", '"grad_check": {"h": -Infinity}', "grad_check h"),
+        ("quanv", '"quanv": {"stride": 1.0}', "quanv stride"),
+        ("train-qrl", '"qrl": {"entangler": 3}', "qrl entangler"),
+    ])
+    def test_rejected_naming_key(self, tmp_path, command, body, named,
+                                 capsys):
+        text = '{"schema": "vqlab-v1", ' + body + "}"
+        assert run_command(tmp_path, command, text, "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestOutOfRangeValues:
+    """Values of the right type but out of range fail before any work."""
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train-qrl", "qrl", "depth", -1),
+        ("train-qrl", "qrl", "init_scale", -1),
+        ("train-qrl", "qrl", "entangler", "star"),
+        ("train-qrl", "qrl", "optimizer", "rmsprop"),
+        ("quanv", "quanv", "depth", -1),
+    ])
+    def test_named_before_output(self, tmp_path, command, section, key,
+                                 value, capsys):
+        text = json.dumps({"schema": "vqlab-v1", section: {key: value}})
+        assert run_command(tmp_path, command, text, "--seed", "1") == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train-qrl", "quanv", "grad-check"])
+    def test_negative_seed_named(self, tmp_path, command, capsys):
+        plain = '{"schema": "vqlab-v1"}'
+        assert run_command(tmp_path, command, plain, "--seed", "-1") == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        in_config = '{"schema": "vqlab-v1", "seed": -1}'
+        assert run_command(tmp_path, command, in_config) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| (top level|`\w+`) \| `(\w+)` \|",
+                                section, re.MULTILINE))
+    declared = {(f"`{name}`", key) for name, keys in SECTIONS.items()
+                for key in keys}
+    declared |= {("top level", key) for key in CONFIG_KEYS
+                 if key not in SECTIONS}
+    assert documented == declared
 
 
 class TestGradCheck:
@@ -155,6 +253,32 @@ class TestTrainQrl:
         assert "eval_episodes" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_run_config_replays_the_run(self, tmp_path):
+        config = self.config(tmp_path, loss="huber", huber_delta=0.5,
+                             entangler="chain", lr=0.02)
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["train-qrl", "--config", config, "--seed", "7",
+                     "--out", str(first)]) == 0
+        resolved = json.loads((first / "run_config.json").read_text())
+        assert set(resolved) == {"schema", "seed", "qrl"}
+        assert resolved["qrl"]["loss"] == "huber"
+        assert resolved["qrl"]["eval_episodes"] == 3
+        assert main(["train-qrl", "--config", str(first / "run_config.json"),
+                     "--out", str(replay)]) == 0
+        for name in ("metrics.csv", "checkpoint.json", "run_config.json"):
+            assert (first / name).read_bytes() == (replay / name).read_bytes()
+
+    def test_every_key_at_default_matches_empty_config(self, tmp_path):
+        stated = write_config(tmp_path, {
+            "schema": "vqlab-v1", "qrl": SECTIONS["qrl"]}, "stated.json")
+        empty = write_config(tmp_path, {"schema": "vqlab-v1"}, "empty.json")
+        for config, out in ((stated, "a"), (empty, "b")):
+            assert main(["train-qrl", "--config", config, "--seed", "2",
+                         "--episodes", "2", "--out", str(tmp_path / out)]) == 0
+        for name in ("metrics.csv", "checkpoint.json", "run_config.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
     def test_episode_flag_overrides_config(self, tmp_path):
         config = self.config(tmp_path)
         out = tmp_path / "o"
@@ -216,6 +340,18 @@ class TestQuanv:
         assert main(["quanv", map_path, "--config", config, "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 2
         assert "cap is 24 qubits" in capsys.readouterr().err
+
+    def test_every_key_at_default_matches_empty_config(self, tmp_path):
+        rng = np.random.default_rng(2)
+        map_path = self.write_map(tmp_path, rng.random((6, 6)).tolist())
+        stated = write_config(tmp_path, {
+            "schema": "vqlab-v1", "quanv": SECTIONS["quanv"]}, "stated.json")
+        empty = write_config(tmp_path, {"schema": "vqlab-v1"}, "empty.json")
+        for config, out in ((stated, "a"), (empty, "b")):
+            assert main(["quanv", map_path, "--config", config, "--seed", "4",
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "a" / "quanv_output.json").read_bytes() == \
+            (tmp_path / "b" / "quanv_output.json").read_bytes()
 
     def test_ragged_csv_cites_row(self, tmp_path, capsys):
         path = tmp_path / "map.csv"
