@@ -9,11 +9,10 @@ quanvolutional feature extraction for 2D maps.
 from .simcore import (GateOp, ResourceLimitError, Statevector, apply_gate,
                       basis_state, dense_apply_oracle, expectation_z,
                       gate_matrix, sample_z_mean, zero_state)
-from .vqc import (EncodingSpec, ModelFormatError, VqcModel, basis_encode,
-                  deserialize_model, encode, finite_diff_grad, forward,
-                  parameter_shift_grad, phi, pqc_apply, serialize_model)
-from .optim import Adam, AdamState, Loss, MAE, MSE, Sgd, adam_step, \
-    loss_and_grad, sgd_step
+from .vqc import (EncodingSpec, ModelFormatError, VqcModel, deserialize_model,
+                  encode, finite_diff_grad, forward, parameter_shift_grad,
+                  phi, pqc_apply, serialize_model)
+from .optim import Adam, Loss, MAE, MSE, Sgd, loss_and_grad
 from .envs import CartPole, FrozenLake, make_env
 from .qrl import (QrlAgent, QrlConfig, ReplayBuffer, Transition,
                   bellman_targets, evaluate, q_values, run_training,

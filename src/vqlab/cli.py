@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import fields
@@ -31,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from . import qrl, quanv, vqc
-from .optim import Loss
 from .qrl import QrlConfig
 from .simcore import ResourceLimitError
 from .vqc import ModelFormatError, VqcModel
@@ -58,14 +56,11 @@ class _Parser(argparse.ArgumentParser):
 # default's type: an int passes for a float key, a bool for no numeric key,
 # a number must be finite, and a None default (entangler) takes null or a
 # string.  The top-level seed has no default; its 0 gives only the type.
-_QRL_EXTRAS = {"loss": "mse", "huber_delta": 1.0,  # not QrlConfig fields
-               "eval_episodes": 100}
 SECTIONS = {
     "grad_check": {"trials": 100, "max_qubits": 4, "max_depth": 3,
-                   "h": 1e-4, "tolerance": 1e-5,
-                   "shift": math.pi / 2},  # shift: a test hook
+                   "h": 1e-4, "tolerance": 1e-5},
     "qrl": {**{f.name: f.default for f in fields(QrlConfig)
-               if f.name not in ("seed", "loss")}, **_QRL_EXTRAS},
+               if f.name != "seed"}, "eval_episodes": 100},
     "quanv": {"k": 2, "depth": 1, "stride": 2, "v_min": 0.0, "v_max": 1.0},
 }
 CONFIG_KEYS = {"schema": CONFIG_SCHEMA, "seed": 0, "out": "out", **SECTIONS}
@@ -165,8 +160,7 @@ def cmd_grad_check(args) -> int:
         model = VqcModel(u, depth, rng.uniform(-np.pi, np.pi, 3 * u * depth))
         x = rng.normal(size=u)
         upstream = rng.normal(size=u)
-        ps = vqc.parameter_shift_grad(model, x, upstream,
-                                      shift=section["shift"])
+        ps = vqc.parameter_shift_grad(model, x, upstream)
         fd = vqc.finite_diff_grad(model, x, upstream, h=section["h"])
         worst = max(worst, float(np.max(np.abs(ps - fd))) if ps.size else 0.0)
     print(f"grad-check: {section['trials']} trials, max |shift - central "
@@ -195,9 +189,8 @@ def cmd_train_qrl(args) -> int:
     section = resolved_section(config, "qrl", episodes=args.episodes,
                                num_qubits=args.qubits, depth=args.depth)
     try:
-        qrl_config = QrlConfig(
-            seed=seed, loss=Loss(section["loss"], section["huber_delta"]),
-            **{k: v for k, v in section.items() if k not in _QRL_EXTRAS})
+        qrl_config = QrlConfig(seed=seed, **{
+            k: v for k, v in section.items() if k != "eval_episodes"})
     except ValueError as exc:
         raise ConfigError(f"invalid qrl config: {exc}") from None
     eval_episodes = section["eval_episodes"]

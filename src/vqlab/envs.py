@@ -32,21 +32,16 @@ FROZEN_LAKE_MAP = ("SFFF", "FHFH", "FFFH", "HFFG")
 
 @dataclass(frozen=True)
 class EnvSpec:
-    kind: str
     discrete: bool
     observation_size: int  # state count if discrete, vector length otherwise
     action_count: int
     step_cap: int
 
 
-FROZEN_LAKE_SPEC = EnvSpec("frozenlake", True, 16, 4, 100)
-CARTPOLE_SPEC = EnvSpec("cartpole", False, 4, 2, 500)
-
-
 class FrozenLake:
     """Deterministic 4x4 grid; observation is the flat cell index."""
 
-    spec = FROZEN_LAKE_SPEC
+    spec = EnvSpec(True, 16, 4, 100)
     LEFT, DOWN, RIGHT, UP = 0, 1, 2, 3
 
     def __init__(self):
@@ -86,7 +81,7 @@ class FrozenLake:
 class CartPole:
     """Euler-integrated cart-pole; observation is (x, x_dot, theta, theta_dot)."""
 
-    spec = CARTPOLE_SPEC
+    spec = EnvSpec(False, 4, 2, 500)
 
     GRAVITY = 9.8
     CART_MASS = 1.0

@@ -1,8 +1,9 @@
 """Classical optimizers and losses for training circuit parameters.
 
-Everything here is a pure function over plain numpy vectors; the thin
-``Sgd``/``Adam`` wrapper classes exist only so a training loop can carry
-optimizer state without threading it by hand.
+``Sgd`` and ``Adam`` share one interface over plain numpy vectors:
+``step(params, grads)`` returns the new parameters, and ``Adam`` carries
+its moment estimates from one step to the next.  Losses are pure
+functions of a batch.
 """
 
 from __future__ import annotations
@@ -24,58 +25,11 @@ class Loss:
         if self.kind not in ("mse", "mae", "huber"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == "huber" and self.delta <= 0:
-            raise ValueError("huber delta must be > 0")
+            raise ValueError("huber_delta must be > 0")
 
 
 MSE = Loss("mse")
 MAE = Loss("mae")
-
-
-def _check_pair(params: np.ndarray, grads: np.ndarray) -> None:
-    if params.shape != grads.shape:
-        raise ValueError(
-            f"params shape {params.shape} != grads shape {grads.shape}")
-
-
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
-    """One plain gradient-descent step: params - lr * grads."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    _check_pair(params, grads)
-    if lr <= 0:
-        raise ValueError("lr must be > 0")
-    return params - lr * grads
-
-
-@dataclass
-class AdamState:
-    """First/second moment estimates plus the step counter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(np.zeros(n), np.zeros(n), 0)
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> Tuple[np.ndarray, AdamState]:
-    """Standard bias-corrected Adam update; returns new params and state."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    _check_pair(params, grads)
-    if state.m.shape != params.shape:
-        raise ValueError("optimizer state does not match parameter length")
-    t = state.t + 1
-    m = beta1 * state.m + (1 - beta1) * grads
-    v = beta2 * state.v + (1 - beta2) * grads ** 2
-    m_hat = m / (1 - beta1 ** t)
-    v_hat = v / (1 - beta2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, AdamState(m, v, t)
 
 
 def loss_and_grad(loss: Loss, pred: np.ndarray,
@@ -104,18 +58,32 @@ def loss_and_grad(loss: Loss, pred: np.ndarray,
     return float(np.mean(values)), grad
 
 
+def _check_pair(params, grads) -> Tuple[np.ndarray, np.ndarray]:
+    """Both as float64 vectors, which must share one shape."""
+    params = np.asarray(params, dtype=np.float64)
+    grads = np.asarray(grads, dtype=np.float64)
+    if params.shape != grads.shape:
+        raise ValueError(
+            f"params shape {params.shape} != grads shape {grads.shape}")
+    return params, grads
+
+
 class Sgd:
-    """Stateless SGD behind the common step(params, grads) interface."""
+    """Plain gradient descent: params - lr * grads."""
 
     def __init__(self, lr: float):
+        if lr <= 0:
+            raise ValueError("lr must be > 0")
         self.lr = lr
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        return sgd_step(params, grads, self.lr)
+        params, grads = _check_pair(params, grads)
+        return params - self.lr * grads
 
 
 class Adam:
-    """Adam with internally carried moment state."""
+    """Bias-corrected Adam carrying its moment estimates ``m`` and ``v``
+    (zeros at the first step) and its step count ``t``."""
 
     def __init__(self, lr: float = 0.01, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -123,15 +91,21 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._state: AdamState | None = None
+        self.m = self.v = None
+        self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        if self._state is None:
-            self._state = AdamState.zeros(np.asarray(params).size)
-        new_params, self._state = adam_step(params, grads, self._state,
-                                            self.lr, self.beta1, self.beta2,
-                                            self.eps)
-        return new_params
+        params, grads = _check_pair(params, grads)
+        if self.m is None:
+            self.m, self.v = np.zeros(params.size), np.zeros(params.size)
+        if self.m.shape != params.shape:
+            raise ValueError("optimizer state does not match parameter length")
+        self.t += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grads
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grads ** 2
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def make_optimizer(kind: str, lr: float):

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import optim, vqc
 from .envs import Observation, make_env
-from .optim import Loss, MSE
-from .vqc import EncodingSpec, VqcModel
+from .optim import Loss
+from .vqc import VqcModel
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,14 @@ class QrlConfig:
     optimizer: str = "adam"
     lr: float = 0.01
     init_scale: float = math.pi / 100
-    loss: Loss = MSE
+    loss: str = "mse"
+    huber_delta: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-        for name in ("episodes", "warmup", "depth", "init_scale"):
+        for name in ("episodes", "warmup", "init_scale"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
@@ -97,8 +98,6 @@ class QrlConfig:
             raise ValueError("epsilon_decay must lie in (0, 1]")
         if self.target_sync_interval < 1:
             raise ValueError("target_sync_interval must be >= 1")
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.batch_size > self.buffer_capacity:
@@ -107,10 +106,17 @@ class QrlConfig:
                 f"buffer_capacity ({self.buffer_capacity})")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
-        if self.entangler not in (None, *vqc.ENTANGLERS):
-            raise ValueError(f"unknown entangler {self.entangler!r}")
-        make_env(self.env)  # each raises naming its field when unknown
+        # each raises naming its field when invalid
+        spec = make_env(self.env).spec
+        VqcModel(self.num_qubits, self.depth, entangler=self.entangler)
         optim.make_optimizer(self.optimizer, self.lr)
+        Loss(self.loss, self.huber_delta)
+        if spec.discrete and 2 ** self.num_qubits < spec.observation_size:
+            raise ValueError(f"num_qubits {self.num_qubits} cannot index "
+                             f"{spec.observation_size} discrete states")
+        if not spec.discrete and self.num_qubits != spec.observation_size:
+            raise ValueError(
+                f"{self.env} needs num_qubits == {spec.observation_size}")
 
 
 class QrlAgent:
@@ -129,28 +135,12 @@ class QrlAgent:
 
     @classmethod
     def for_env(cls, config: QrlConfig) -> "QrlAgent":
-        env = make_env(config.env)
-        if env.spec.discrete:
-            if 2 ** config.num_qubits < env.spec.observation_size:
-                raise ValueError(
-                    f"{config.num_qubits} qubits cannot index "
-                    f"{env.spec.observation_size} discrete states")
-            encoding = EncodingSpec()  # unused on basis-state inputs
-        else:
-            if config.num_qubits != env.spec.observation_size:
-                raise ValueError(
-                    f"{config.env} needs num_qubits == "
-                    f"{env.spec.observation_size}")
-            encoding = EncodingSpec("sigmoid")
-        if config.num_qubits < env.spec.action_count:
-            raise ValueError("need at least one wire per action")
         model = VqcModel.random(config.num_qubits, config.depth,
                                 seed=config.seed,
                                 init_scale=config.init_scale,
-                                entangler=config.entangler,
-                                encoding=encoding)
-        return cls(model, env.spec.action_count, config.gamma,
-                   config.target_sync_interval)
+                                entangler=config.entangler)
+        return cls(model, make_env(config.env).spec.action_count,
+                   config.gamma, config.target_sync_interval)
 
     def sync_target(self) -> None:
         self.target = self.online.copy()
@@ -255,6 +245,7 @@ def run_training(config: QrlConfig) -> Tuple[QrlAgent, List[dict]]:
     agent = QrlAgent.for_env(config)
     buffer = ReplayBuffer(config.buffer_capacity)
     optimizer = optim.make_optimizer(config.optimizer, config.lr)
+    loss = Loss(config.loss, config.huber_delta)
     epsilon = config.epsilon_start
     metrics: List[dict] = []
 
@@ -269,7 +260,7 @@ def run_training(config: QrlConfig) -> Tuple[QrlAgent, List[dict]]:
             buffer.push(transition)
             if len(buffer) >= config.warmup:
                 loss_value = train_step(agent, buffer, config.batch_size,
-                                        config.loss, optimizer, rng)
+                                        loss, optimizer, rng)
                 if loss_value is not None:
                     losses.append(loss_value)
             ep_return += transition.reward

@@ -14,9 +14,8 @@ cross-checking the fast path in tests.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -84,39 +83,29 @@ class Statevector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.num_qubits, self.amps.copy())
 
-    def dump_json(self) -> str:
-        """Debug dump: {"num_qubits": U, "amps": [[re, im], ...]}."""
-        pairs = [[float(a.real), float(a.imag)] for a in self.amps]
-        return json.dumps({"num_qubits": self.num_qubits, "amps": pairs})
-
-
-def check_qubit_budget(num_qubits: int,
-                       max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
-    """Reject a qubit count below 1 or above ``max_qubits``."""
+def check_qubit_budget(num_qubits: int) -> None:
+    """Reject a qubit count below 1 or above DEFAULT_QUBIT_CAP."""
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
-    if num_qubits > max_qubits:
-        mib = 2 ** num_qubits * 16 / 2 ** 20
+    if num_qubits > DEFAULT_QUBIT_CAP:
+        # the message never evaluates 2^U: U may be astronomically large
         raise ResourceLimitError(
             f"{num_qubits} qubits need 2^{num_qubits} complex amplitudes "
-            f"({mib:.0f} MiB); cap is {max_qubits} qubits")
+            f"of 16 bytes; cap is {DEFAULT_QUBIT_CAP} qubits")
 
 
-def zero_state(num_qubits: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> Statevector:
+def zero_state(num_qubits: int) -> Statevector:
     """|0...0> on ``num_qubits`` wires."""
-    check_qubit_budget(num_qubits, max_qubits)
+    check_qubit_budget(num_qubits)
     amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return Statevector(num_qubits, amps)
 
 
-def basis_state(num_qubits: int, index: int,
-                max_qubits: int = DEFAULT_QUBIT_CAP) -> Statevector:
+def basis_state(num_qubits: int, index: int) -> Statevector:
     """Computational basis state |index> (big-endian bit pattern)."""
-    state = zero_state(num_qubits, max_qubits=max_qubits)
+    state = zero_state(num_qubits)
     if not 0 <= index < 2 ** num_qubits:
         raise ValueError(
             f"basis index {index} out of range for {num_qubits} qubit(s)")

@@ -29,12 +29,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import simcore
-from .simcore import Statevector, basis_state
+from .simcore import Statevector
 
 NONLINEARITIES = ("sigmoid", "clamp01", "none")
 ENTANGLERS = ("chain", "ring")
 MODEL_SCHEMA = "vqc-v1"
 SHIFT = math.pi / 2
+# a model's 3UL parameters: at most as many as the amplitudes at the qubit cap
+MAX_PARAMS = 2 ** simcore.DEFAULT_QUBIT_CAP
 
 
 class ModelFormatError(ValueError):
@@ -60,13 +62,6 @@ class PqcLayer:
     alphas: np.ndarray
     betas: np.ndarray
     gammas: np.ndarray
-
-    def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=np.float64)
-        self.betas = np.asarray(self.betas, dtype=np.float64)
-        self.gammas = np.asarray(self.gammas, dtype=np.float64)
-        if not (self.alphas.shape == self.betas.shape == self.gammas.shape):
-            raise ValueError("alpha/beta/gamma blocks must share one length")
 
 
 def default_entangler(num_qubits: int) -> str:
@@ -94,17 +89,20 @@ class VqcModel:
                  params: Optional[np.ndarray] = None,
                  entangler: Optional[str] = None,
                  encoding: Optional[EncodingSpec] = None):
-        if num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
+        simcore.check_qubit_budget(num_qubits)
         if depth < 0:
             raise ValueError("depth must be >= 0")
+        n = 3 * num_qubits * depth
+        if n > MAX_PARAMS:
+            raise simcore.ResourceLimitError(
+                f"{num_qubits} qubits at depth {depth} need {n} parameters; "
+                f"cap is {MAX_PARAMS}")
         self.num_qubits = num_qubits
         self.depth = depth
         self.entangler = entangler or default_entangler(num_qubits)
         if self.entangler not in ENTANGLERS:
             raise ValueError(f"unknown entangler {self.entangler!r}")
         self.encoding = encoding or EncodingSpec()
-        n = 3 * num_qubits * depth
         if params is None:
             params = np.zeros(n)
         params = np.asarray(params, dtype=np.float64).copy()
@@ -197,11 +195,6 @@ def encode(x: Sequence[float], spec: EncodingSpec, num_qubits: int) -> Statevect
     return Statevector(num_qubits, amps[0])
 
 
-def basis_encode(state_index: int, num_qubits: int) -> Statevector:
-    """Discrete observation -> computational basis state."""
-    return basis_state(num_qubits, state_index)
-
-
 def pqc_apply(state: Statevector, model: VqcModel, layer_index: int) -> Statevector:
     """One layer: entangler CNOTs, then RX/RY/RZ on every wire."""
     if not 0 <= layer_index < model.depth:
@@ -251,14 +244,13 @@ def _apply_gates(amps: np.ndarray, num_qubits: int, gates: list,
 
 
 def _input_states(model: VqcModel, observations) -> np.ndarray:
-    """(B, 2^U) input states for B observations, within the qubit cap.
+    """(B, 2^U) input states for B observations.
 
     Shape (B,) holds basis-state indices, which must be integers in
     [0, 2^U).  Shape (B, U) holds real vectors; row b becomes the product
     state RY(encoding_angles(x_b)[w]) on wire w of |0...0>.
     """
     u = model.num_qubits
-    simcore.check_qubit_budget(u)
     obs = np.asarray(observations)
     if obs.ndim == 1:
         if obs.dtype.kind not in "iu" or np.any((obs < 0) | (obs >= 2 ** u)):
@@ -383,19 +375,15 @@ def _block_generators(angles: np.ndarray) -> np.ndarray:
                      for x, y, z in axes])
 
 
-def parameter_shift_grad(model: VqcModel, x, upstream: np.ndarray,
-                         shift: float = SHIFT) -> np.ndarray:
-    """Exact gradient of upstream . forward(model, x) w.r.t. the flat params.
-
-    ``shift`` exists as a negative-control hook; anything other than pi/2
-    breaks exactness on purpose.
-    """
+def parameter_shift_grad(model: VqcModel, x, upstream: np.ndarray) -> np.ndarray:
+    """Exact gradient of upstream . forward(model, x) w.r.t. the flat
+    params, by the parameter-shift rule with shift :data:`SHIFT`."""
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (model.num_qubits,):
         raise ValueError(
             f"expected upstream of length {model.num_qubits}, "
             f"got shape {upstream.shape}")
-    return grad_batch(model, upstream[None, :], [x], shift=shift)[0]
+    return grad_batch(model, upstream[None, :], [x], shift=SHIFT)[0]
 
 
 def finite_diff_grad(model: VqcModel, x, upstream: np.ndarray,

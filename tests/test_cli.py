@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vqlab import vqc
 from vqlab.cli import CONFIG_KEYS, SECTIONS, ConfigError, load_config, main
 
 
@@ -76,8 +77,8 @@ def run_command(tmp_path, command, config_text, *flags):
 
 
 class TestConfigTypes:
-    """A value of the wrong type, or a non-finite number, exits 1 before
-    any work, naming its section and key."""
+    """A value of the wrong type, a non-finite number, or a combination of
+    values that does not fit, exits 1 before any work, naming its key."""
 
     @pytest.mark.parametrize("command, body, named", [
         ("train-qrl", '"out": 5', "config out"),
@@ -96,6 +97,12 @@ class TestConfigTypes:
         ("grad-check", '"grad_check": {"h": -Infinity}', "grad_check h"),
         ("quanv", '"quanv": {"stride": 1.0}', "quanv stride"),
         ("train-qrl", '"qrl": {"entangler": 3}', "qrl entangler"),
+        ("train-qrl", '"qrl": {"env": "cartpole", "num_qubits": 2}',
+         "num_qubits"),
+        ("train-qrl", '"qrl": {"env": "cartpole", "num_qubits": 5}',
+         "num_qubits"),
+        ("train-qrl", '"qrl": {"loss": "huber", "huber_delta": 0}',
+         "huber_delta"),
     ])
     def test_rejected_naming_key(self, tmp_path, command, body, named,
                                  capsys):
@@ -114,6 +121,7 @@ class TestOutOfRangeValues:
         ("train-qrl", "qrl", "init_scale", -1),
         ("train-qrl", "qrl", "entangler", "star"),
         ("train-qrl", "qrl", "optimizer", "rmsprop"),
+        ("train-qrl", "qrl", "num_qubits", 2),
         ("quanv", "quanv", "depth", -1),
     ])
     def test_named_before_output(self, tmp_path, command, section, key,
@@ -121,6 +129,21 @@ class TestOutOfRangeValues:
         text = json.dumps({"schema": "vqlab-v1", section: {key: value}})
         assert run_command(tmp_path, command, text, "--seed", "1") == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, section, key, value, named", [
+        ("quanv", "quanv", "k", 100_000, "cap is 24 qubits"),
+        ("quanv", "quanv", "depth", 10 ** 11, "depth"),
+        ("train-qrl", "qrl", "depth", 10 ** 11, "depth"),
+    ])
+    def test_oversized_model_is_resource_error(self, tmp_path, command,
+                                               section, key, value, named,
+                                               capsys):
+        # refused before the model's arrays or the output exist
+        text = json.dumps({"schema": "vqlab-v1", section: {key: value}})
+        assert run_command(tmp_path, command, text, "--seed", "1") == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train-qrl", "quanv", "grad-check"])
@@ -153,10 +176,10 @@ class TestGradCheck:
             "grad_check": {"trials": 20, "max_qubits": 3, "max_depth": 2}})
         assert main(["grad-check", "--config", config, "--seed", "0"]) == 0
 
-    def test_broken_shift_hook_fails(self, tmp_path):
+    def test_broken_shift_hook_fails(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, {
-            "schema": "vqlab-v1",
-            "grad_check": {"trials": 10, "shift": 1.0}})
+            "schema": "vqlab-v1", "grad_check": {"trials": 10}})
+        monkeypatch.setattr(vqc, "SHIFT", 1.0)
         assert main(["grad-check", "--config", config, "--seed", "0"]) == 1
 
     def test_oversized_qubit_request_is_resource_error(self):

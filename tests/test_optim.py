@@ -1,31 +1,30 @@
 import numpy as np
 import pytest
 
-from vqlab.optim import (Adam, AdamState, Loss, MAE, MSE, Sgd, adam_step,
-                         loss_and_grad, make_optimizer, sgd_step)
+from vqlab.optim import Adam, Loss, MAE, MSE, Sgd, loss_and_grad, make_optimizer
 
 
 class TestSgd:
     def test_zero_gradient_is_identity(self):
-        out = sgd_step(np.array([1.0, 2.0]), np.zeros(2), lr=0.3)
+        out = Sgd(0.3).step(np.array([1.0, 2.0]), np.zeros(2))
         assert np.array_equal(out, [1.0, 2.0])
 
     def test_arithmetic(self):
-        out = sgd_step(np.array([1.0]), np.array([2.0]), lr=0.5)
+        out = Sgd(0.5).step(np.array([1.0]), np.array([2.0]))
         assert np.array_equal(out, [0.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_step(np.zeros(2), np.zeros(3), lr=0.1)
+            Sgd(0.1).step(np.zeros(2), np.zeros(3))
 
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ValueError):
-            sgd_step(np.zeros(2), np.zeros(2), lr=0.0)
+            Sgd(0.0)
 
     def test_descends_a_quadratic(self):
         params = np.array([3.0, -2.0])
         loss = lambda p: float(np.sum(p ** 2))
-        out = sgd_step(params, 2 * params, lr=0.01)
+        out = Sgd(0.01).step(params, 2 * params)
         assert loss(out) < loss(params)
 
 
@@ -34,37 +33,30 @@ class TestAdam:
         # bias correction makes m_hat/sqrt(v_hat) = sign(g) at t=1
         params = np.array([0.0, 0.0])
         grads = np.array([0.5, -2.0])
-        out, state = adam_step(params, grads, AdamState.zeros(2), lr=0.01)
-        assert state.t == 1
+        opt = Adam(0.01)
+        out = opt.step(params, grads)
+        assert opt.t == 1
         assert np.allclose(out, -0.01 * np.sign(grads), rtol=1e-6)
 
     def test_zero_gradients_forever(self):
         params = np.array([1.0, -1.0])
-        state = AdamState.zeros(2)
+        opt = Adam(0.1)
         for _ in range(5):
-            params, state = adam_step(params, np.zeros(2), state, lr=0.1)
+            params = opt.step(params, np.zeros(2))
         assert np.array_equal(params, [1.0, -1.0])
 
-    def test_purity(self):
-        params = np.array([0.3])
-        grads = np.array([0.7])
-        state = AdamState(np.array([0.1]), np.array([0.2]), 3)
-        a = adam_step(params, grads, state, lr=0.05)
-        b = adam_step(params, grads, state, lr=0.05)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1].m, b[1].m)
-        assert np.array_equal(a[1].v, b[1].v)
-
     def test_state_length_checked(self):
+        opt = Adam(0.1)
+        opt.step(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            adam_step(np.zeros(2), np.zeros(2), AdamState.zeros(3), lr=0.1)
+            opt.step(np.zeros(2), np.zeros(2))
 
     def test_wrapper_carries_state(self):
         opt = Adam(lr=0.01)
         params = np.zeros(1)
         for _ in range(3):
             params = opt.step(params, np.ones(1))
-        assert opt._state.t == 3
+        assert opt.t == 3
 
 
 class TestLosses:

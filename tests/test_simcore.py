@@ -34,11 +34,6 @@ class TestStatePreparation:
         with pytest.raises(ResourceLimitError, match="2\\^25"):
             zero_state(25)
 
-    def test_zero_state_cap_override(self):
-        with pytest.raises(ResourceLimitError):
-            zero_state(5, max_qubits=4)
-        assert zero_state(5, max_qubits=5).num_qubits == 5
-
     def test_basis_state(self):
         state = basis_state(2, 3)
         assert np.array_equal(state.amps, [0, 0, 0, 1])
@@ -182,7 +177,7 @@ class TestDenseOracle:
 
     def test_qubit_cap(self):
         with pytest.raises(ResourceLimitError):
-            dense_apply_oracle(zero_state(11, max_qubits=24), np.eye(2 ** 11))
+            dense_apply_oracle(zero_state(11), np.eye(2 ** 11))
 
     def test_random_circuit_agrees_with_fast_path(self):
         rng = np.random.default_rng(5)
@@ -264,15 +259,6 @@ class TestMeasurement:
                  for s in range(200)]
         ratio = np.std(small) / np.std(large)
         assert 7 <= ratio <= 13
-
-
-def test_debug_dump_round_trips():
-    import json
-    plus = apply_gate(zero_state(2), GateOp("RY", (1,), 0.3))
-    doc = json.loads(plus.dump_json())
-    assert doc["num_qubits"] == 2
-    amps = np.array([complex(re, im) for re, im in doc["amps"]])
-    assert np.allclose(amps, plus.amps)
 
 
 def _dense_rotations(kinds, angles, wire, num_qubits):
