@@ -36,6 +36,7 @@ from .vqc import ModelFormatError, VqcModel
 
 CONFIG_SCHEMA = "vqlab-v1"
 GRAD_CHECK_QUBIT_CAP = 12
+GRAD_CHECK_DEPTH_CAP = 16
 
 METRIC_COLUMNS = ("episode", "steps", "return", "mean_loss", "epsilon",
                   "wall_ms")
@@ -145,17 +146,19 @@ def cmd_grad_check(args) -> int:
         if section[key] < 1:
             raise ConfigError(
                 f"grad_check {key} must be >= 1, got {section[key]}")
+    for key, cap in (("max_qubits", GRAD_CHECK_QUBIT_CAP),
+                     ("max_depth", GRAD_CHECK_DEPTH_CAP)):
+        if section[key] > cap:
+            raise ResourceLimitError(
+                f"grad_check {key} {section[key]} is above its cap of {cap}: "
+                f"each trial runs 6*U*L shifted circuits of L layers on "
+                f"2^U amplitudes")
     seed = resolve_seed(args, config)
-    max_qubits = section["max_qubits"]
-    if max_qubits > GRAD_CHECK_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"grad-check runs 6*U*L shifted circuits of 2^{max_qubits} "
-            f"amplitudes per trial; cap is {GRAD_CHECK_QUBIT_CAP} qubits")
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(section["trials"]):
-        u = int(rng.integers(1, max_qubits + 1))
+        u = int(rng.integers(1, section["max_qubits"] + 1))
         depth = int(rng.integers(1, section["max_depth"] + 1))
         model = VqcModel(u, depth, rng.uniform(-np.pi, np.pi, 3 * u * depth))
         x = rng.normal(size=u)

@@ -192,8 +192,10 @@ def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
     actions = np.array([t.action for t in batch])
     targets = bellman_targets(batch, agent)
 
+    # one online forward: its output states feed the readout and the adjoint
     states = [t.state for t in batch]
-    z = _z_batch(agent.online, states)
+    psi = vqc.output_states(agent.online, states)
+    z = vqc.readout(agent.online, psi)
     rows = np.arange(batch_size)
     z_taken = z[rows, actions]
     pred = agent.action_scale[actions] * z_taken
@@ -203,7 +205,8 @@ def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
     # only the taken action's wire receives upstream gradient
     upstream = np.zeros((batch_size, agent.online.num_qubits))
     upstream[rows, actions] = dpred * agent.action_scale[actions]
-    theta_grads = vqc.grad_batch(agent.online, upstream, states).sum(axis=0)
+    theta_grads = vqc.grad_batch(agent.online, upstream, states,
+                                 psi=psi).sum(axis=0)
     scale_grads = np.zeros(agent.action_count)
     np.add.at(scale_grads, actions, dpred * z_taken)
 

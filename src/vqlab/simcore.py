@@ -6,9 +6,11 @@ qubit 0 is the most significant bit of the amplitude index, so on two
 qubits index 2 (binary ``10``) means qubit 0 in |1> and qubit 1 in |0>.
 
 Gates are applied with index/stride arithmetic on the flat amplitude
-array; the full 2^U x 2^U unitary is never materialized.  A dense
-matrix-vector oracle (:func:`dense_apply_oracle`) exists purely for
-cross-checking the fast path in tests.
+array, never as a 2^U x 2^U matrix.  (:mod:`vqlab.vqc` does hold dense
+per-layer blocks for circuits of at most ``vqc.BLOCK_MAX_QUBITS``
+qubits, but builds them by running these kernels on the identity.)  A
+dense matrix-vector oracle (:func:`dense_apply_oracle`) exists purely
+for cross-checking the fast path in tests.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def gate_matrix(kind: str, angle: Optional[float] = None) -> np.ndarray:
 # public single-state API and the vectorized circuit engine.  Index and bit
 # tables are built on first use per (U, wires) and cached read-only.
 
-GATHER_MAX_AMPS = 2 ** 14
+GATHER_MAX_AMPS = 2 ** 13
 
 
 def _wire_mask(num_qubits: int, wire: int) -> int:
@@ -190,6 +192,15 @@ def _bit_table(num_qubits: int, wires: tuple[int, ...]) -> np.ndarray:
     return bits
 
 
+@functools.lru_cache(maxsize=64)
+def z_signs(num_qubits: int, wires: tuple[int, ...]) -> np.ndarray:
+    """(k, 2^U) read-only table: Z's eigenvalue, +1 or -1, on wire
+    ``wires[j]`` at each index."""
+    signs = np.where(_bit_table(num_qubits, wires), -1.0, 1.0)
+    signs.setflags(write=False)
+    return signs
+
+
 def apply_x_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
     return amps.take(_flip_index(num_qubits, wire), axis=-1)
 
@@ -200,7 +211,7 @@ def apply_y_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
 
 
 def apply_z_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
-    return np.where(_bit_table(num_qubits, (wire,))[0], -1.0, 1.0) * amps
+    return z_signs(num_qubits, (wire,))[0] * amps
 
 
 def apply_cnot_batch(amps: np.ndarray, num_qubits: int,
@@ -266,8 +277,8 @@ def expect_z_batch(amps: np.ndarray, num_qubits: int, wire) -> np.ndarray:
     """<Z> for each batch row on one wire, shape (B,), or on a sequence of
     k wires, shape (B, k)."""
     single = isinstance(wire, (int, np.integer))
-    bits = _bit_table(num_qubits, (wire,) if single else tuple(wire))
-    out = (amps.real ** 2 + amps.imag ** 2) @ np.where(bits, -1.0, 1.0).T
+    signs = z_signs(num_qubits, (wire,) if single else tuple(wire))
+    out = (amps.real ** 2 + amps.imag ** 2) @ signs.T
     return out[..., 0] if single else out
 
 

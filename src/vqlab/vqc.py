@@ -8,7 +8,7 @@ analytic expectations; shot sampling lives only in
 
 Gradients w.r.t. the rotation angles are exact two ways.  Training uses
 adjoint differentiation (:func:`grad_batch` by default): one forward pass
-and one reverse sweep over the gates, whatever the parameter count.  The
+and one reverse sweep over the layers, whatever the parameter count.  The
 parameter-shift rule with shift pi/2, which is what hardware can run,
 stays in :func:`parameter_shift_grad`, ``vqlab grad-check`` and
 acceptance criterion 3; a central finite difference oracle is kept
@@ -17,10 +17,22 @@ alongside both for verification.
 Evaluation is vectorized: a whole batch of circuits runs as one (B, 2^U)
 amplitude array, all rows sharing one flat parameter vector (or one per
 row, as the parameter-shift batches need) and differing in their inputs.
+
+Small circuits take the block path.  With one shared parameter vector
+and at most :data:`BLOCK_MAX_QUBITS` qubits, each layer is one dense
+2^U x 2^U block, built by running the layer's gates through the simcore
+kernels on the identity and cached per parameter vector (the key is the
+parameter values, so nothing goes stale).  A forward pass is then one
+matmul by the blocks' product, or for basis inputs a row lookup in a
+cached Z table, and the adjoint un-applies each layer with one matmul.
+Per-row parameter batches and larger circuits run gate by gate.  The
+threshold is measured: at L=2 and 32 rows, block build plus forward and
+adjoint beats the per-gate path up to U=6 and loses from U=7.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +49,10 @@ MODEL_SCHEMA = "vqc-v1"
 SHIFT = math.pi / 2
 # a model's 3UL parameters: at most as many as the amplitudes at the qubit cap
 MAX_PARAMS = 2 ** simcore.DEFAULT_QUBIT_CAP
+# shared-parameter circuits up to this many qubits run as cached per-layer
+# blocks; their depth * 4^U block entries (16 bytes each) are capped too
+BLOCK_MAX_QUBITS = 6
+BLOCK_MAX_AMPS = 2 ** 20
 
 
 class ModelFormatError(ValueError):
@@ -191,7 +207,7 @@ def encode(x: Sequence[float], spec: EncodingSpec, num_qubits: int) -> Statevect
     if x.shape != (num_qubits,):
         raise ValueError(
             f"expected input of length {num_qubits}, got shape {x.shape}")
-    amps = _input_states(VqcModel(num_qubits, 0, encoding=spec), [x])
+    amps = _input_states(VqcModel(num_qubits, 0, encoding=spec), x[None, :])
     return Statevector(num_qubits, amps[0])
 
 
@@ -200,7 +216,8 @@ def pqc_apply(state: Statevector, model: VqcModel, layer_index: int) -> Statevec
     if not 0 <= layer_index < model.depth:
         raise ValueError(f"layer_index {layer_index} out of range")
     u = model.num_qubits
-    amps = _apply_gates(state.amps, u, _layer_gates(model, layer_index),
+    amps = _apply_gates(state.amps, u,
+                        _layer_gates(u, model.entangler, layer_index),
                         model.params)
     return Statevector(u, np.ascontiguousarray(amps))
 
@@ -208,16 +225,15 @@ def pqc_apply(state: Statevector, model: VqcModel, layer_index: int) -> Statevec
 # ---------------------------------------------------------------------------
 # Batched engine
 
-def _layer_gates(model: VqcModel, layer: int) -> list:
+def _layer_gates(num_qubits: int, entangler: str, layer: int) -> list:
     """One layer's gates in order, as (kind, wires, flat parameter index).
 
     Entangler CNOTs come first (index None), then one fused RX, RY, RZ
     block per wire, indexed by a slice over its alpha, beta, gamma angles.
     """
-    u = model.num_qubits
+    u = num_qubits
     base = 3 * u * layer
-    gates = [("CNOT", pair, None)
-             for pair in entangler_pairs(u, model.entangler)]
+    gates = [("CNOT", pair, None) for pair in entangler_pairs(u, entangler)]
     gates += [(("RX", "RY", "RZ"), (wire,),
                slice(base + wire, base + 3 * u, u)) for wire in range(u)]
     return gates
@@ -225,7 +241,7 @@ def _layer_gates(model: VqcModel, layer: int) -> list:
 
 def _circuit_gates(model: VqcModel) -> list:
     return [gate for layer in range(model.depth)
-            for gate in _layer_gates(model, layer)]
+            for gate in _layer_gates(model.num_qubits, model.entangler, layer)]
 
 
 def _apply_gates(amps: np.ndarray, num_qubits: int, gates: list,
@@ -243,12 +259,61 @@ def _apply_gates(amps: np.ndarray, num_qubits: int, gates: list,
     return amps
 
 
-def _input_states(model: VqcModel, observations) -> np.ndarray:
-    """(B, 2^U) input states for B observations.
+def _unapply_gates(amps: np.ndarray, num_qubits: int, gates: list,
+                   theta: np.ndarray) -> np.ndarray:
+    """Undo ``gates`` at the flat parameter vector ``theta``: each gate's
+    inverse, last gate first."""
+    for kinds, wires, index in reversed(gates):
+        if index is None:
+            amps = simcore.apply_cnot_batch(amps, num_qubits, *wires)
+        else:
+            amps = simcore.apply_rotation_batch(
+                amps, num_qubits, wires[0], kinds[::-1], -theta[index][::-1])
+    return amps
+
+
+@functools.lru_cache(maxsize=4)
+def _circuit_blocks(num_qubits: int, depth: int, entangler: str,
+                    theta_bytes: bytes) -> tuple:
+    """A small circuit at one flat parameter vector as read-only dense
+    matrices (layers, product, z_table).
+
+    ``layers[l]`` is layer l's unitary, transposed to act on amplitude
+    rows (``amps @ layers[l]`` applies the layer), built by running the
+    layer's gates on the 2^U identity rows.  Row i of ``product`` is the
+    output state of basis input i, and row i of ``z_table`` its Z readout.
+    The key holds the parameter values themselves, so a changed parameter
+    vector is a new entry and no entry can go stale.
+    """
+    theta = np.frombuffer(theta_bytes)
+    eye = np.eye(2 ** num_qubits, dtype=np.complex128)
+    layers = tuple(
+        _apply_gates(eye, num_qubits,
+                     _layer_gates(num_qubits, entangler, layer), theta)
+        for layer in range(depth))
+    product = functools.reduce(np.matmul, layers, eye)
+    z_table = simcore.expect_z_batch(product, num_qubits, range(num_qubits))
+    for array in layers + (product, z_table):
+        array.setflags(write=False)
+    return layers, product, z_table
+
+
+def _blocks(model: VqcModel, thetas: np.ndarray) -> Optional[tuple]:
+    """The cached :func:`_circuit_blocks` of ``model`` at ``thetas``, or
+    None where the per-gate path runs instead: for per-row parameters,
+    above :data:`BLOCK_MAX_QUBITS` qubits, or past :data:`BLOCK_MAX_AMPS`."""
+    u = model.num_qubits
+    if (thetas.ndim != 1 or u > BLOCK_MAX_QUBITS
+            or model.depth * 4 ** u > BLOCK_MAX_AMPS):
+        return None
+    return _circuit_blocks(u, model.depth, model.entangler, thetas.tobytes())
+
+
+def _observations(model: VqcModel, observations) -> np.ndarray:
+    """``observations`` as a checked array.
 
     Shape (B,) holds basis-state indices, which must be integers in
-    [0, 2^U).  Shape (B, U) holds real vectors; row b becomes the product
-    state RY(encoding_angles(x_b)[w]) on wire w of |0...0>.
+    [0, 2^U).  Shape (B, U) holds real vectors for the angle encoding.
     """
     u = model.num_qubits
     obs = np.asarray(observations)
@@ -256,12 +321,21 @@ def _input_states(model: VqcModel, observations) -> np.ndarray:
         if obs.dtype.kind not in "iu" or np.any((obs < 0) | (obs >= 2 ** u)):
             raise ValueError(
                 f"basis indices must be integers in [0, {2 ** u}), got {obs}")
+    elif obs.ndim != 2 or obs.shape[1] != u:
+        raise ValueError(
+            f"expected input of length {u}, got shape {obs.shape[1:]}")
+    return obs
+
+
+def _input_states(model: VqcModel, obs: np.ndarray) -> np.ndarray:
+    """(B, 2^U) input states for B checked observations: basis states, or
+    for vector row b the product state RY(encoding_angles(x_b)[w]) on wire
+    w of |0...0>."""
+    u = model.num_qubits
+    if obs.ndim == 1:
         amps = np.zeros((obs.size, 2 ** u), complex)
         amps[np.arange(obs.size), obs] = 1.0
         return amps
-    if obs.ndim != 2 or obs.shape[1] != u:
-        raise ValueError(
-            f"expected input of length {u}, got shape {obs.shape[1:]}")
     angles = encoding_angles(obs, model.encoding)
     c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
     amps = np.ones((len(obs), 1), complex)
@@ -272,6 +346,36 @@ def _input_states(model: VqcModel, observations) -> np.ndarray:
     return amps
 
 
+def _output_states(model: VqcModel, thetas: np.ndarray, obs: np.ndarray,
+                   blocks: Optional[tuple]) -> np.ndarray:
+    """(B, 2^U) states after the circuit, for B checked observations."""
+    if blocks is None:
+        return _apply_gates(_input_states(model, obs), model.num_qubits,
+                            _circuit_gates(model), thetas)
+    _, product, _ = blocks
+    if obs.ndim == 1:
+        return product[obs]
+    return _input_states(model, obs) @ product
+
+
+def output_states(model: VqcModel, observations) -> np.ndarray:
+    """(B, 2^U) output states of B observations at the model's parameters.
+
+    :func:`readout` turns them into Z expectations, and
+    ``grad_batch(..., psi=...)`` differentiates from them, so a caller
+    that needs both runs the forward pass once.
+    """
+    theta = model.params
+    return _output_states(model, theta, _observations(model, observations),
+                          _blocks(model, theta))
+
+
+def readout(model: VqcModel, states: np.ndarray) -> np.ndarray:
+    """Per-wire Z expectations of (B, 2^U) states, shape (B, U)."""
+    u = model.num_qubits
+    return simcore.expect_z_batch(states, u, range(u))
+
+
 def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
                       observations) -> np.ndarray:
     """Z expectations, shape (B, U), for B circuits evaluated at once.
@@ -279,12 +383,16 @@ def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
     ``observations`` are B basis-state indices, shape (B,), or B real
     vectors for the angle encoding, shape (B, U); they set each row's
     input state and so the batch size.  ``thetas`` is the flat (3UL,)
-    parameter vector that every row shares, or (B, 3UL).
+    parameter vector that every row shares, or (B, 3UL).  Basis inputs on
+    the block path read rows of the cached Z table.
     """
-    u = model.num_qubits
-    amps = _apply_gates(_input_states(model, observations), u,
-                        _circuit_gates(model), thetas)
-    return simcore.expect_z_batch(amps, u, range(u))
+    thetas = np.asarray(thetas, dtype=np.float64)
+    obs = _observations(model, observations)
+    blocks = _blocks(model, thetas)
+    if blocks is not None and obs.ndim == 1:
+        _, _, z_table = blocks
+        return z_table[obs]
+    return readout(model, _output_states(model, thetas, obs, blocks))
 
 
 def forward(model: VqcModel, x) -> np.ndarray:
@@ -297,7 +405,8 @@ def forward(model: VqcModel, x) -> np.ndarray:
 
 
 def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
-               shift: Optional[float] = None) -> np.ndarray:
+               shift: Optional[float] = None,
+               psi: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact gradients for n observations at once; shape (n, 3UL).
 
     ``observations`` are n basis-state indices, shape (n,), or n real
@@ -305,12 +414,13 @@ def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
     is d(upstreams[i] . z_i)/d(theta) where z_i is the analytic forward
     output for observation i.  By default (``shift=None``) this is the
     adjoint method that training uses: n forward rows and one reverse
-    sweep.  An explicit ``shift`` runs the parameter-shift rule instead,
-    all 2 * 3UL * n shifted circuits as a single batch; that is the path
-    of :func:`parameter_shift_grad`.
+    sweep; ``psi``, the observations' :func:`output_states`, replaces
+    its forward pass.  An explicit ``shift`` runs the parameter-shift rule
+    instead, all 2 * 3UL * n shifted circuits as a single batch; that is
+    the path of :func:`parameter_shift_grad`.
     """
     if shift is None:
-        return _adjoint_grad(model, upstreams, observations)
+        return _adjoint_grad(model, upstreams, observations, psi)
     n, n_params = upstreams.shape[0], model.num_params
     theta = model.params
     # rows: input-major, then parameter, then (+, -) shift
@@ -327,52 +437,63 @@ def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
     return np.einsum("npw,nw->np", df, upstreams)
 
 
-def _adjoint_grad(model: VqcModel, upstreams: np.ndarray,
-                  observations) -> np.ndarray:
+def _adjoint_grad(model: VqcModel, upstreams: np.ndarray, observations,
+                  psi: Optional[np.ndarray]) -> np.ndarray:
     """Adjoint differentiation (Jones & Gacon 2020, arXiv:2009.02823).
 
     After the forward pass to psi, lambda = sum_w upstream_w Z_w psi.  The
-    reverse sweep un-applies each gate to psi and lambda, stacked as one
-    (2, n, 2^U) array.  At the end of a rotation block, its three angles'
-    derivatives are Re<lambda|G|psi> for the generators G of
-    :func:`_block_generators`, read from the wire's 2x2 overlaps.
+    reverse sweep reads each layer's derivatives at its end, then
+    un-applies the layer to psi and lambda, stacked as one (2, n, 2^U)
+    array: as one matmul with the block's adjoint on the block path, else
+    gate by gate.
     """
     u = model.num_qubits
     theta = model.params
-    gates = _circuit_gates(model)
-    psi = _apply_gates(_input_states(model, observations), u, gates, theta)
-    lam = sum(upstreams[:, wire, None] * simcore.apply_z_batch(psi, u, wire)
-              for wire in range(u))
+    blocks = _blocks(model, theta)
+    if psi is None:
+        psi = _output_states(model, theta, _observations(model, observations),
+                             blocks)
+    lam = psi * (upstreams @ simcore.z_signs(u, tuple(range(u))))
     pair = np.stack([psi, lam])
     grads = np.empty((psi.shape[0], theta.size))
-    for kinds, wires, index in reversed(gates):
-        if index is None:
-            pair = simcore.apply_cnot_batch(pair, u, *wires)
-            continue
-        w = wires[0]
-        # halves[:, n, a]: psi and lambda where wire w is a, so overlaps
-        # [n, a, b] = sum of conj(lambda) psi, wire w at a and at b
-        halves = pair.reshape((2, -1, 2 ** w, 2, 2 ** (u - 1 - w)))
-        halves = halves.transpose(0, 1, 3, 2, 4).reshape(2, -1, 2, 2 ** (u - 1))
-        overlaps = halves[1].conj() @ halves[0].transpose(0, 2, 1)
-        grads[:, index] = (overlaps.reshape(-1, 4)
-                           @ _block_generators(theta[index]).T).real
-        pair = simcore.apply_rotation_batch(pair, u, w, kinds[::-1],
-                                            -theta[index][::-1])
+    for layer in reversed(range(model.depth)):
+        cols = slice(3 * u * layer, 3 * u * (layer + 1))
+        grads[:, cols] = _layer_derivatives(pair, u, theta[cols])
+        if blocks is not None:
+            layers, _, _ = blocks
+            pair = pair @ layers[layer].conj().T
+        else:
+            pair = _unapply_gates(pair, u, _layer_gates(
+                u, model.entangler, layer), theta)
     return grads
 
 
-def _block_generators(angles: np.ndarray) -> np.ndarray:
-    """Rows (G00, G01, G10, G11) of the RX, RY, RZ angles' generators at
-    the end of R_Z R_Y R_X: (R_Z R_Y)(-iX)(R_Z R_Y)^dagger, R_Z(-iY)R_Z^dagger
-    and -iZ.  Each is -i n.sigma, and d/dt R_Z R_Y R_X = (G/2) R_Z R_Y R_X.
+def _layer_derivatives(pair: np.ndarray, num_qubits: int,
+                       angles: np.ndarray) -> np.ndarray:
+    """(n, 3U) derivatives of one layer's 3U angles, from (psi, lambda) at
+    the layer's end, in the flat (alpha, beta, gamma) layout.
+
+    The layer's rotation blocks act on distinct wires and so commute: each
+    can be taken as the layer's last gate.  There, with R = R_Z R_Y R_X,
+    d/dt R = (-i a.sigma / 2) R for the rotated axis a of each angle: RX's
+    is R_Z R_Y x, RY's R_Z y and RZ's z.  So each derivative is
+    Re<lambda|-i a.sigma|psi> = a . Im<lambda|sigma|psi>.
     """
-    _, beta, gamma = angles.tolist()
-    cb, sb, cg, sg = (math.cos(beta), math.sin(beta),
-                      math.cos(gamma), math.sin(gamma))
-    axes = ((cb * cg, cb * sg, -sb), (-sg, cg, 0.0), (0.0, 0.0, 1.0))
-    return np.array([(-1j * z, -1j * x - y, -1j * x + y, 1j * z)
-                     for x, y, z in axes])
+    u = num_qubits
+    psi, lam_conj = pair[0], pair[1].conj()
+    signs = simcore.z_signs(u, tuple(range(u)))
+    # x, y, z[n, w] = Im<lambda|sigma|psi> for sigma = X, Y, Z on wire w
+    z = (lam_conj * psi).imag @ signs.T
+    x, y = np.empty_like(z), np.empty_like(z)
+    for w in range(u):
+        # Y_w = -i Z_w X_w, so both read conj(lambda) times X_w psi
+        overlaps = lam_conj * simcore.apply_x_batch(psi, u, w)
+        x[:, w] = overlaps.imag.sum(axis=-1)
+        y[:, w] = -(overlaps.real @ signs[w])
+    _, beta, gamma = angles.reshape(3, -1)
+    cb, sb, cg, sg = np.cos(beta), np.sin(beta), np.cos(gamma), np.sin(gamma)
+    return np.concatenate(
+        [cb * (cg * x + sg * y) - sb * z, cg * y - sg * x, z], axis=1)
 
 
 def parameter_shift_grad(model: VqcModel, x, upstream: np.ndarray) -> np.ndarray:

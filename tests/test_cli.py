@@ -182,8 +182,15 @@ class TestGradCheck:
         monkeypatch.setattr(vqc, "SHIFT", 1.0)
         assert main(["grad-check", "--config", config, "--seed", "0"]) == 1
 
-    def test_oversized_qubit_request_is_resource_error(self):
+    def test_oversized_qubit_request_is_resource_error(self, capsys):
         assert main(["grad-check", "--qubits", "24", "--seed", "0"]) == 2
+        assert "max_qubits" in capsys.readouterr().err
+
+    def test_oversized_depth_request_is_resource_error(self, capsys):
+        # rejected before the parameter-shift batch of 6 * (3L)^2 angles
+        assert main(["grad-check", "--qubits", "1", "--depth", "1000000",
+                     "--seed", "0"]) == 2
+        assert "max_depth" in capsys.readouterr().err
 
     def test_bad_config_is_validation_error(self, tmp_path):
         config = write_config(tmp_path, {"schema": "vqlab-v1", "oops": 1})

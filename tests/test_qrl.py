@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vqlab.qrl as qrl
-from vqlab import optim
+from vqlab import optim, vqc
 from vqlab.optim import MSE
 from vqlab.qrl import (QrlAgent, QrlConfig, ReplayBuffer, Transition,
                        agent_from_json, agent_to_json, bellman_targets,
@@ -186,7 +186,6 @@ class TestTrainStep:
             return value
 
         # replicate the analytic theta gradient the way train_step builds it
-        from vqlab import vqc
         z = qrl._z_batch(agent.online, states)
         pred = agent.action_scale[actions] * z[np.arange(2), actions]
         _, dpred = optim.loss_and_grad(MSE, pred, targets)
@@ -203,6 +202,26 @@ class TestTrainStep:
             down[k] -= h
             fd = (batch_loss(up) - batch_loss(down)) / (2 * h)
             assert abs(fd - analytic[k]) <= 1e-5
+
+    @pytest.mark.parametrize("env", ["frozenlake", "cartpole"])
+    def test_one_online_forward_per_step(self, env, monkeypatch):
+        agent = QrlAgent.for_env(QrlConfig(env=env, seed=10))
+        rng = np.random.default_rng(10)
+        buf = ReplayBuffer(100)
+        for t in random_transitions(rng, 40, agent.action_count):
+            if env == "cartpole":
+                t = Transition(rng.normal(size=4), t.action, t.reward,
+                               rng.normal(size=4), t.terminal)
+            buf.push(t)
+        forwards = []
+        original = vqc._output_states
+
+        def counted(model, *args):
+            forwards.append(model is agent.online)
+            return original(model, *args)
+        monkeypatch.setattr(vqc, "_output_states", counted)
+        train_step(agent, buf, 16, MSE, optim.Adam(0.05), rng)
+        assert forwards.count(True) == 1
 
     def test_target_sync_interval(self):
         config = QrlConfig(env="frozenlake", depth=1, seed=9,

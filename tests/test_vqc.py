@@ -4,12 +4,48 @@ import math
 import numpy as np
 import pytest
 
-from vqlab import simcore, vqc
+from vqlab import qrl, simcore, vqc
 from vqlab.vqc import (EncodingSpec, ModelFormatError, VqcModel,
                        deserialize_model, encode, finite_diff_grad, forward,
                        parameter_shift_grad, phi, pqc_apply, serialize_model)
 
 SIGMOID = EncodingSpec("sigmoid")
+
+
+@pytest.fixture(params=["blocks", "per-gate", "per-gate, strided"])
+def engine_path(request, monkeypatch):
+    """Runs a test on the cached-block path and on the per-gate path, the
+    latter with each form of the rotation kernel."""
+    monkeypatch.setattr(vqc, "BLOCK_MAX_QUBITS", simcore.DEFAULT_QUBIT_CAP
+                        if request.param == "blocks" else 0)
+    if request.param == "per-gate, strided":
+        monkeypatch.setattr(simcore, "GATHER_MAX_AMPS", 0)
+    return request.param
+
+
+def dense_oracle_z(model, observation):
+    """Per-wire <Z> of one circuit through embed_gate and dense_apply_oracle
+    alone: a basis index, or RY(scale * phi(x_w)) encoding on |0...0>."""
+    u = model.num_qubits
+    gates = []
+    if np.ndim(observation) == 0:
+        state = simcore.basis_state(u, int(observation))
+    else:
+        state = simcore.zero_state(u)
+        spec = model.encoding
+        gates += [simcore.GateOp("RY", (w,), spec.scale * phi(x, spec))
+                  for w, x in enumerate(observation)]
+    for layer in model.layers:
+        gates += [simcore.GateOp("CNOT", pair)
+                  for pair in vqc.entangler_pairs(u, model.entangler)]
+        for w in range(u):
+            gates += [simcore.GateOp(kind, (w,), float(angle)) for kind, angle
+                      in zip(("RX", "RY", "RZ"), (layer.alphas[w],
+                                                  layer.betas[w],
+                                                  layer.gammas[w]))]
+    for gate in gates:
+        state = simcore.dense_apply_oracle(state, simcore.embed_gate(gate, u))
+    return np.array([simcore.expectation_z(state, w) for w in range(u)])
 
 
 def random_model(rng, max_qubits=4, max_depth=3):
@@ -211,6 +247,98 @@ class TestRunCircuitBatch:
             vqc.run_circuit_batch(model, model.params, observations)
 
 
+class TestEnginePaths:
+    """The cached-block path against the per-gate path and the dense
+    oracle, to 1e-12."""
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+    def test_paths_match_dense_oracle(self, num_qubits, monkeypatch):
+        rng = np.random.default_rng(60 + num_qubits)
+        u = num_qubits
+        for depth in range(4):
+            for entangler in ("chain", "ring"):
+                model = VqcModel(u, depth,
+                                 rng.uniform(-np.pi, np.pi, 3 * u * depth),
+                                 entangler=entangler)
+                basis = rng.integers(0, 2 ** u, 2)
+                vectors = rng.normal(size=(2, u))
+                for observations in (basis, vectors):
+                    got = {}
+                    for limit in (u, u - 1):  # blocks, then per-gate
+                        monkeypatch.setattr(vqc, "BLOCK_MAX_QUBITS", limit)
+                        got[limit] = vqc.run_circuit_batch(
+                            model, model.params, observations)
+                    assert np.max(np.abs(got[u] - got[u - 1])) <= 1e-12
+                    oracle = np.array([dense_oracle_z(model, obs)
+                                       for obs in observations])
+                    assert np.max(np.abs(got[u] - oracle)) <= 1e-12
+
+    def test_block_building_runs_simcore_kernels(self, monkeypatch):
+        calls = {"apply_rotation_batch": 0, "apply_cnot_batch": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(simcore, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(simcore, name, counted)
+        vqc._circuit_blocks.cache_clear()
+        model = VqcModel.random(4, 2, seed=61, entangler="ring")
+        vqc.run_circuit_batch(model, model.params, [0, 5])
+        # per layer: 4 ring CNOTs and one fused rotation per wire
+        assert calls == {"apply_rotation_batch": 8, "apply_cnot_batch": 8}
+        vqc.run_circuit_batch(model, model.params, [3])
+        vqc.grad_batch(model, np.ones((1, 4)), [3])
+        assert calls == {"apply_rotation_batch": 8, "apply_cnot_batch": 8}
+
+    def test_block_path_bounds(self):
+        theta = np.zeros(3 * 6 * 2)
+        assert vqc._blocks(VqcModel(6, 2), theta) is not None
+        assert vqc._blocks(VqcModel(6, 2), np.tile(theta, (3, 1))) is None
+        assert vqc._blocks(VqcModel(vqc.BLOCK_MAX_QUBITS + 1, 1),
+                           np.zeros(3 * (vqc.BLOCK_MAX_QUBITS + 1))) is None
+        # 300 layers of 4^6 entries pass BLOCK_MAX_AMPS
+        assert vqc._blocks(VqcModel(6, 300), np.zeros(3 * 6 * 300)) is None
+
+    def test_cached_arrays_refuse_writes(self):
+        model = VqcModel.random(3, 2, seed=62)
+        layers, product, z_table = vqc._blocks(model, model.params)
+        for array in layers + (product, z_table):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        z = vqc.run_circuit_batch(model, model.params, [1, 2])
+        want = z.copy()
+        z[:] = 7.0  # the caller's copy, not the cached table
+        assert np.array_equal(
+            vqc.run_circuit_batch(model, model.params, [1, 2]), want)
+
+    def test_new_params_are_never_stale(self):
+        agent = qrl.QrlAgent(VqcModel.random(4, 2, seed=63), 4, 0.9, 50)
+        for obs in (6, np.array([0.3, -1.0, 0.5, 2.0])):
+            before = qrl.q_values(agent, obs)
+            agent.online.params = agent.online.params + 0.1
+            after = qrl.q_values(agent, obs)
+            assert np.max(np.abs(after - before)) > 1e-6
+            oracle = dense_oracle_z(agent.online, obs)
+            assert np.max(np.abs(after - oracle)) <= 1e-12
+            assert np.max(np.abs(forward(agent.online, obs) - after)) <= 1e-12
+            target = qrl._z_batch(agent.target, [obs])[0]
+            assert np.max(np.abs(target - after)) > 1e-6
+            agent.sync_target()
+            assert np.array_equal(qrl._z_batch(agent.target, [obs])[0], after)
+
+    def test_output_states_feed_readout_and_adjoint(self):
+        rng = np.random.default_rng(64)
+        model = VqcModel.random(4, 2, seed=64)
+        observations = rng.normal(size=(5, 4))
+        upstreams = rng.normal(size=(5, 4))
+        psi = vqc.output_states(model, observations)
+        assert np.array_equal(
+            vqc.readout(model, psi),
+            vqc.run_circuit_batch(model, model.params, observations))
+        assert np.array_equal(
+            vqc.grad_batch(model, upstreams, observations, psi=psi),
+            vqc.grad_batch(model, upstreams, observations))
+
+
 class TestGradients:
     def test_single_qubit_closed_form(self):
         # RY(theta_enc) RY(beta) on |0>: d<Z>/dbeta = -sin(theta_enc + beta)
@@ -279,9 +407,16 @@ class TestAdjointGradients:
     """grad_batch's default adjoint path against the parameter-shift batch."""
 
     def test_matches_parameter_shift(self):
-        rng = np.random.default_rng(21)
+        self.check_against_parameter_shift(seed=21, trials=120)
+
+    def test_matches_parameter_shift_on_each_path(self, engine_path):
+        self.check_against_parameter_shift(seed=23, trials=60)
+
+    @staticmethod
+    def check_against_parameter_shift(seed, trials):
+        rng = np.random.default_rng(seed)
         worst = 0.0
-        for trial in range(120):
+        for trial in range(trials):
             u = int(rng.integers(1, 6))
             depth = int(rng.integers(0, 4))
             params = rng.uniform(-np.pi, np.pi, 3 * u * depth)
