@@ -10,8 +10,8 @@ from .simcore import (GateOp, ResourceLimitError, Statevector, apply_gate,
                       basis_state, dense_apply_oracle, expectation_z,
                       gate_matrix, sample_z_mean, zero_state)
 from .vqc import (EncodingSpec, ModelFormatError, VqcModel, deserialize_model,
-                  encode, finite_diff_grad, forward, parameter_shift_grad,
-                  phi, pqc_apply, serialize_model)
+                  finite_diff_grad, forward, output_states,
+                  parameter_shift_grad, phi, serialize_model)
 from .optim import Adam, Loss, MAE, MSE, Sgd, loss_and_grad
 from .envs import CartPole, FrozenLake, make_env
 from .qrl import (QrlAgent, QrlConfig, ReplayBuffer, Transition,

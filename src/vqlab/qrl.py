@@ -184,7 +184,8 @@ def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
     """One replay-batch update of theta and action_scale.
 
     Returns the pre-step batch loss, or None while the buffer is underfull.
-    Targets are constants: no gradient flows into the target model.
+    Targets are constants: no gradient flows into the target model.  An
+    update that makes theta or action_scale non-finite raises RuntimeError.
     """
     if len(buffer) < batch_size:
         return None
@@ -213,6 +214,9 @@ def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
     packed = np.concatenate([agent.online.params, agent.action_scale])
     grads = np.concatenate([theta_grads, scale_grads])
     packed = optimizer.step(packed, grads)
+    if not np.all(np.isfinite(packed)):
+        raise RuntimeError(f"train step {agent.step + 1} gave non-finite "
+                           f"parameters; lower qrl lr ({optimizer.lr})")
     agent.online.params = packed[:agent.online.num_params]
     agent.action_scale = packed[agent.online.num_params:]
 
@@ -280,6 +284,13 @@ def run_training(config: QrlConfig) -> Tuple[QrlAgent, List[dict]]:
     return agent, metrics
 
 
+def _returns(env_kind: str, policy: Callable[[Observation], int],
+             episodes: int, rng: np.random.Generator) -> List[float]:
+    """The return of each of ``episodes`` rollouts, each in a fresh env."""
+    return [sum(t.reward for t in _episode(make_env(env_kind), policy, rng))
+            for _ in range(episodes)]
+
+
 def evaluate(agent: QrlAgent, env_kind: str, episodes: int,
              rng: np.random.Generator) -> dict:
     """Greedy rollouts; success means reaching the goal (FrozenLake) or
@@ -290,9 +301,7 @@ def evaluate(agent: QrlAgent, env_kind: str, episodes: int,
     def greedy(obs):
         return select_action(q_values(agent, obs), 0.0, rng)
 
-    returns = [sum(t.reward
-                   for t in _episode(make_env(env_kind), greedy, rng))
-               for _ in range(episodes)]
+    returns = _returns(env_kind, greedy, episodes, rng)
     spec = make_env(env_kind).spec
     successes = sum(r > 0 if spec.discrete else r >= spec.step_cap
                     for r in returns)
@@ -308,10 +317,8 @@ def random_policy_baseline(env_kind: str, episodes: int,
     def uniform(obs):
         return int(rng.integers(0, action_count))
 
-    returns = [sum(t.reward
-                   for t in _episode(make_env(env_kind), uniform, rng))
-               for _ in range(episodes)]
-    return {"mean_return": float(np.mean(returns))}
+    return {"mean_return": float(np.mean(
+        _returns(env_kind, uniform, episodes, rng)))}
 
 
 def agent_to_json(agent: QrlAgent) -> str:
@@ -324,11 +331,10 @@ def agent_to_json(agent: QrlAgent) -> str:
 
 
 def agent_from_json(text: str, target_sync_interval: int = 50) -> QrlAgent:
-    doc = json.loads(text)
-    model = vqc.model_from_dict(doc)
-    for key in ("action_scale", "gamma", "step"):
-        if key not in doc:
-            raise vqc.ModelFormatError(f"checkpoint missing key {key!r}")
+    model = vqc.deserialize_model(text)
+    doc = json.loads(text)  # valid: deserialize_model has parsed it
+    vqc.check_fields(doc, {"action_scale": list, "gamma": float, "step": int},
+                     "checkpoint")
     scale = np.asarray(doc["action_scale"], dtype=np.float64)
     if not np.all(np.isfinite(scale)):
         raise vqc.ModelFormatError("checkpoint action_scale must be finite")
@@ -342,6 +348,6 @@ def agent_from_json(text: str, target_sync_interval: int = 50) -> QrlAgent:
             f"checkpoint gamma must lie in (0, 1), got {gamma}")
     agent = QrlAgent(model, scale.size, gamma, target_sync_interval)
     agent.action_scale = scale
-    agent.step = int(doc["step"])
+    agent.step = doc["step"]
     agent.sync_target()
     return agent

@@ -14,9 +14,9 @@ stays in :func:`parameter_shift_grad`, ``vqlab grad-check`` and
 acceptance criterion 3; a central finite difference oracle is kept
 alongside both for verification.
 
-Evaluation is vectorized: a whole batch of circuits runs as one (B, 2^U)
-amplitude array, all rows sharing one flat parameter vector (or one per
-row, as the parameter-shift batches need) and differing in their inputs.
+Evaluation is vectorized and runs layer by layer: a batch of circuits is
+one (B, 2^U) amplitude array, and :func:`layer_view` reads the flat
+parameters, shared by every row or one vector per row, as layer angles.
 
 Small circuits take the block path.  With one shared parameter vector
 and at most :data:`BLOCK_MAX_QUBITS` qubits, each layer is one dense
@@ -36,12 +36,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import simcore
-from .simcore import Statevector
 
 NONLINEARITIES = ("sigmoid", "clamp01", "none")
 ENTANGLERS = ("chain", "ring")
@@ -95,11 +94,8 @@ def entangler_pairs(num_qubits: int, entangler: str) -> list[tuple[int, int]]:
 
 
 class VqcModel:
-    """U-qubit, L-layer circuit; parameters live in a flat length-3UL vector.
-
-    Flat layout is layer-major, each layer as (alpha-block, beta-block,
-    gamma-block) of U angles each.
-    """
+    """U-qubit, L-layer circuit; parameters live in a flat length-3UL
+    vector, laid out as :func:`layer_view` reads it, and must be finite."""
 
     def __init__(self, num_qubits: int, depth: int,
                  params: Optional[np.ndarray] = None,
@@ -119,12 +115,9 @@ class VqcModel:
         if self.entangler not in ENTANGLERS:
             raise ValueError(f"unknown entangler {self.entangler!r}")
         self.encoding = encoding or EncodingSpec()
-        if params is None:
-            params = np.zeros(n)
-        params = np.asarray(params, dtype=np.float64).copy()
-        if params.shape != (n,):
-            raise ValueError(f"expected {n} parameters, got shape {params.shape}")
-        self._params = params
+        self._params = np.zeros(n)
+        if params is not None:
+            self.params = params
 
     @classmethod
     def random(cls, num_qubits: int, depth: int, seed: int,
@@ -154,18 +147,14 @@ class VqcModel:
             raise ValueError(
                 f"expected {self._params.shape[0]} parameters, "
                 f"got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("model params must be finite")
         self._params = values.copy()
 
     @property
     def layers(self) -> list[PqcLayer]:
-        u = self.num_qubits
-        out = []
-        for layer in range(self.depth):
-            base = 3 * u * layer
-            out.append(PqcLayer(self._params[base:base + u],
-                                self._params[base + u:base + 2 * u],
-                                self._params[base + 2 * u:base + 3 * u]))
-        return out
+        return [PqcLayer(*angles)
+                for angles in layer_view(self._params, self.num_qubits)]
 
     def copy(self) -> "VqcModel":
         return VqcModel(self.num_qubits, self.depth, self._params,
@@ -201,79 +190,47 @@ def encoding_angles(x, spec: EncodingSpec) -> np.ndarray:
     return spec.scale * phi(x, spec)
 
 
-def encode(x: Sequence[float], spec: EncodingSpec, num_qubits: int) -> Statevector:
-    """RY(scale * phi(x_i)) on wire i of |0...0>; a product state."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (num_qubits,):
-        raise ValueError(
-            f"expected input of length {num_qubits}, got shape {x.shape}")
-    amps = _input_states(VqcModel(num_qubits, 0, encoding=spec), x[None, :])
-    return Statevector(num_qubits, amps[0])
-
-
-def pqc_apply(state: Statevector, model: VqcModel, layer_index: int) -> Statevector:
-    """One layer: entangler CNOTs, then RX/RY/RZ on every wire."""
-    if not 0 <= layer_index < model.depth:
-        raise ValueError(f"layer_index {layer_index} out of range")
-    u = model.num_qubits
-    amps = _apply_gates(state.amps, u,
-                        _layer_gates(u, model.entangler, layer_index),
-                        model.params)
-    return Statevector(u, np.ascontiguousarray(amps))
-
-
 # ---------------------------------------------------------------------------
 # Batched engine
 
-def _layer_gates(num_qubits: int, entangler: str, layer: int) -> list:
-    """One layer's gates in order, as (kind, wires, flat parameter index).
-
-    Entangler CNOTs come first (index None), then one fused RX, RY, RZ
-    block per wire, indexed by a slice over its alpha, beta, gamma angles.
-    """
-    u = num_qubits
-    base = 3 * u * layer
-    gates = [("CNOT", pair, None) for pair in entangler_pairs(u, entangler)]
-    gates += [(("RX", "RY", "RZ"), (wire,),
-               slice(base + wire, base + 3 * u, u)) for wire in range(u)]
-    return gates
+def layer_view(params: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The flat parameter layout: (..., 3UL) parameters as a (..., L, 3, U)
+    view, whose [..., l, k, w] is layer l's RX (k=0), RY (k=1) or RZ (k=2)
+    angle on wire w."""
+    depth = params.shape[-1] // (3 * num_qubits)
+    return params.reshape(params.shape[:-1] + (depth, 3, num_qubits))
 
 
-def _circuit_gates(model: VqcModel) -> list:
-    return [gate for layer in range(model.depth)
-            for gate in _layer_gates(model.num_qubits, model.entangler, layer)]
-
-
-def _apply_gates(amps: np.ndarray, num_qubits: int, gates: list,
-                 thetas: np.ndarray) -> np.ndarray:
-    """Apply ``gates`` in order; a rotation block's angles are
-    thetas[..., index], from the flat parameter vector that every row
-    shares or from (B, 3UL) with one parameter vector per row.
-    """
-    for kind, wires, index in gates:
-        if index is None:
-            amps = simcore.apply_cnot_batch(amps, num_qubits, *wires)
-        else:
-            amps = simcore.apply_rotation_batch(amps, num_qubits, wires[0],
-                                                kind, thetas[..., index])
+def _apply_layers(amps: np.ndarray, num_qubits: int, pairs: list,
+                  angles: np.ndarray) -> np.ndarray:
+    """Layers in order, gate by gate through the simcore kernels: each
+    layer's entangler CNOTs ``pairs``, then one fused RX-RY-RZ per wire.
+    ``angles`` is a :func:`layer_view`, (L, 3, U) shared by every row or
+    (B, L, 3, U) with one per row."""
+    for layer in range(angles.shape[-3]):
+        for pair in pairs:
+            amps = simcore.apply_cnot_batch(amps, num_qubits, *pair)
+        for wire in range(num_qubits):
+            amps = simcore.apply_rotation_batch(
+                amps, num_qubits, wire, ("RX", "RY", "RZ"),
+                angles[..., layer, :, wire])
     return amps
 
 
-def _unapply_gates(amps: np.ndarray, num_qubits: int, gates: list,
-                   theta: np.ndarray) -> np.ndarray:
-    """Undo ``gates`` at the flat parameter vector ``theta``: each gate's
-    inverse, last gate first."""
-    for kinds, wires, index in reversed(gates):
-        if index is None:
-            amps = simcore.apply_cnot_batch(amps, num_qubits, *wires)
-        else:
-            amps = simcore.apply_rotation_batch(
-                amps, num_qubits, wires[0], kinds[::-1], -theta[index][::-1])
+def _unapply_layer(amps: np.ndarray, num_qubits: int, pairs: list,
+                   angles: np.ndarray) -> np.ndarray:
+    """Undo one layer of :func:`_apply_layers` at its shared (3, U)
+    ``angles``: each gate's inverse, last gate first."""
+    for wire in reversed(range(num_qubits)):
+        amps = simcore.apply_rotation_batch(
+            amps, num_qubits, wire, ("RZ", "RY", "RX"), -angles[::-1, wire])
+    for pair in reversed(pairs):
+        amps = simcore.apply_cnot_batch(amps, num_qubits, *pair)
     return amps
 
 
 @functools.lru_cache(maxsize=4)
-def _circuit_blocks(num_qubits: int, depth: int, entangler: str,
+def _circuit_blocks(num_qubits: int, entangler: str,
                     theta_bytes: bytes) -> tuple:
     """A small circuit at one flat parameter vector as read-only dense
     matrices (layers, product, z_table).
@@ -285,12 +242,11 @@ def _circuit_blocks(num_qubits: int, depth: int, entangler: str,
     The key holds the parameter values themselves, so a changed parameter
     vector is a new entry and no entry can go stale.
     """
-    theta = np.frombuffer(theta_bytes)
     eye = np.eye(2 ** num_qubits, dtype=np.complex128)
-    layers = tuple(
-        _apply_gates(eye, num_qubits,
-                     _layer_gates(num_qubits, entangler, layer), theta)
-        for layer in range(depth))
+    pairs = entangler_pairs(num_qubits, entangler)
+    layers = tuple(_apply_layers(eye, num_qubits, pairs, angles[None])
+                   for angles in layer_view(np.frombuffer(theta_bytes),
+                                            num_qubits))
     product = functools.reduce(np.matmul, layers, eye)
     z_table = simcore.expect_z_batch(product, num_qubits, range(num_qubits))
     for array in layers + (product, z_table):
@@ -306,7 +262,7 @@ def _blocks(model: VqcModel, thetas: np.ndarray) -> Optional[tuple]:
     if (thetas.ndim != 1 or u > BLOCK_MAX_QUBITS
             or model.depth * 4 ** u > BLOCK_MAX_AMPS):
         return None
-    return _circuit_blocks(u, model.depth, model.entangler, thetas.tobytes())
+    return _circuit_blocks(u, model.entangler, thetas.tobytes())
 
 
 def _observations(model: VqcModel, observations) -> np.ndarray:
@@ -350,8 +306,10 @@ def _output_states(model: VqcModel, thetas: np.ndarray, obs: np.ndarray,
                    blocks: Optional[tuple]) -> np.ndarray:
     """(B, 2^U) states after the circuit, for B checked observations."""
     if blocks is None:
-        return _apply_gates(_input_states(model, obs), model.num_qubits,
-                            _circuit_gates(model), thetas)
+        u = model.num_qubits
+        return _apply_layers(_input_states(model, obs), u,
+                             entangler_pairs(u, model.entangler),
+                             layer_view(thetas, u))
     _, product, _ = blocks
     if obs.ndim == 1:
         return product[obs]
@@ -456,22 +414,22 @@ def _adjoint_grad(model: VqcModel, upstreams: np.ndarray, observations,
     lam = psi * (upstreams @ simcore.z_signs(u, tuple(range(u))))
     pair = np.stack([psi, lam])
     grads = np.empty((psi.shape[0], theta.size))
+    angles, grad_layers = layer_view(theta, u), layer_view(grads, u)
+    pairs = entangler_pairs(u, model.entangler)
     for layer in reversed(range(model.depth)):
-        cols = slice(3 * u * layer, 3 * u * (layer + 1))
-        grads[:, cols] = _layer_derivatives(pair, u, theta[cols])
+        grad_layers[:, layer] = _layer_derivatives(pair, u, angles[layer])
         if blocks is not None:
             layers, _, _ = blocks
             pair = pair @ layers[layer].conj().T
         else:
-            pair = _unapply_gates(pair, u, _layer_gates(
-                u, model.entangler, layer), theta)
+            pair = _unapply_layer(pair, u, pairs, angles[layer])
     return grads
 
 
 def _layer_derivatives(pair: np.ndarray, num_qubits: int,
                        angles: np.ndarray) -> np.ndarray:
-    """(n, 3U) derivatives of one layer's 3U angles, from (psi, lambda) at
-    the layer's end, in the flat (alpha, beta, gamma) layout.
+    """(n, 3, U) derivatives of one layer's (3, U) angles, from (psi,
+    lambda) at the layer's end.
 
     The layer's rotation blocks act on distinct wires and so commute: each
     can be taken as the layer's last gate.  There, with R = R_Z R_Y R_X,
@@ -490,9 +448,9 @@ def _layer_derivatives(pair: np.ndarray, num_qubits: int,
         overlaps = lam_conj * simcore.apply_x_batch(psi, u, w)
         x[:, w] = overlaps.imag.sum(axis=-1)
         y[:, w] = -(overlaps.real @ signs[w])
-    _, beta, gamma = angles.reshape(3, -1)
+    _, beta, gamma = angles
     cb, sb, cg, sg = np.cos(beta), np.sin(beta), np.cos(gamma), np.sin(gamma)
-    return np.concatenate(
+    return np.stack(
         [cb * (cg * x + sg * y) - sb * z, cg * y - sg * x, z], axis=1)
 
 
@@ -540,6 +498,19 @@ def serialize_model(model: VqcModel) -> str:
     })
 
 
+def check_fields(doc: dict, kinds: dict, where: str) -> None:
+    """Each key of ``kinds`` is in ``doc`` with a value of its JSON type: int,
+    float (which an int also passes), str, list or dict; a bool is none."""
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise ModelFormatError(f"{where} missing key {key!r}")
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise ModelFormatError(
+                f"{where} {key} must be {kind.__name__}, got {value!r}")
+
+
 def model_from_dict(doc: dict) -> VqcModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -547,22 +518,15 @@ def model_from_dict(doc: dict) -> VqcModel:
     if schema != MODEL_SCHEMA:
         raise ModelFormatError(
             f"unsupported model schema {schema!r} (expected {MODEL_SCHEMA!r})")
-    for key in ("num_qubits", "depth", "entangler", "encoding", "params"):
-        if key not in doc:
-            raise ModelFormatError(f"model document missing key {key!r}")
+    check_fields(doc, {"num_qubits": int, "depth": int, "entangler": str,
+                       "encoding": dict, "params": list}, "model")
     enc = doc["encoding"]
-    for key in ("nonlinearity", "scale"):
-        if key not in enc:
-            raise ModelFormatError(f"model encoding missing key {key!r}")
+    check_fields(enc, {"nonlinearity": str, "scale": float}, "model encoding")
     try:
-        params = np.asarray(doc["params"], dtype=np.float64)
-        if not np.all(np.isfinite(params)):
-            raise ModelFormatError("model params must be finite")
-        return VqcModel(int(doc["num_qubits"]), int(doc["depth"]), params,
-                        str(doc["entangler"]),
-                        EncodingSpec(str(enc["nonlinearity"]),
-                                     float(enc["scale"])))
-    except ValueError as exc:
+        return VqcModel(doc["num_qubits"], doc["depth"], doc["params"],
+                        doc["entangler"], EncodingSpec(enc["nonlinearity"],
+                                                       float(enc["scale"])))
+    except (TypeError, ValueError) as exc:  # a params entry of another type
         raise ModelFormatError(str(exc)) from exc
 
 

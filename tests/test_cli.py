@@ -283,6 +283,20 @@ class TestTrainQrl:
         assert "eval_episodes" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_divergence_stops_without_outputs(self, tmp_path, capsys):
+        config = self.config(tmp_path, optimizer="sgd", lr=1e300,
+                             episodes=3, eval_episodes=2)
+        out = tmp_path / "x"
+        with pytest.warns(RuntimeWarning):  # numpy overflow, then NaN
+            code = main(["train-qrl", "--config", config, "--seed", "1",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"train step \d+ gave non-finite", err)
+        assert "qrl lr" in err
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "checkpoint.json").exists()
+
     def test_run_config_replays_the_run(self, tmp_path):
         config = self.config(tmp_path, loss="huber", huber_delta=0.5,
                              entangler="chain", lr=0.02)

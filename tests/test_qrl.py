@@ -319,12 +319,20 @@ class TestCheckpoint:
         ("action_scale", [1.0] * 6),
         ("gamma", 7.0),
         ("gamma", 0.0),
+        ("gamma", None),
+        ("step", None),
+        ("step", 1.5),
+        ("action_scale", {}),
     ])
     def test_bad_value_named(self, key, value):
         doc = json.loads(agent_to_json(frozenlake_agent()))
         doc[key] = value
         with pytest.raises(ModelFormatError, match=key):
             agent_from_json(json.dumps(doc))
+
+    def test_malformed_json_reports_location(self):
+        with pytest.raises(ModelFormatError, match="line 1 column 2"):
+            agent_from_json("{")
 
 
 class TestConfigValidation:

@@ -6,8 +6,8 @@ import pytest
 
 from vqlab import qrl, simcore, vqc
 from vqlab.vqc import (EncodingSpec, ModelFormatError, VqcModel,
-                       deserialize_model, encode, finite_diff_grad, forward,
-                       parameter_shift_grad, phi, pqc_apply, serialize_model)
+                       deserialize_model, finite_diff_grad, forward,
+                       parameter_shift_grad, phi, serialize_model)
 
 SIGMOID = EncodingSpec("sigmoid")
 
@@ -46,6 +46,17 @@ def dense_oracle_z(model, observation):
     for gate in gates:
         state = simcore.dense_apply_oracle(state, simcore.embed_gate(gate, u))
     return np.array([simcore.expectation_z(state, w) for w in range(u)])
+
+
+def output_state(model, observation):
+    """One observation's output state, as a Statevector."""
+    amps = vqc.output_states(model, [observation])[0]
+    return simcore.Statevector(model.num_qubits, amps)
+
+
+def encode(x, spec, num_qubits):
+    """The angle-encoded input state of ``x``: a depth-0 model's output."""
+    return output_state(VqcModel(num_qubits, 0, encoding=spec), x)
 
 
 def random_model(rng, max_qubits=4, max_depth=3):
@@ -118,6 +129,8 @@ class TestPhi:
 
 
 class TestEncode:
+    """The RY angle encoding, read from the output of depth-0 models."""
+
     def test_zero_input_gives_cos_quarter_pi(self):
         state = encode([0.0, 0.0], SIGMOID, 2)
         for wire in range(2):
@@ -156,25 +169,22 @@ class TestEncode:
 
 
 class TestPqcApply:
+    """One layer, read from the output of depth-1 models on basis inputs."""
+
     def test_single_qubit_has_no_entangler(self):
         model = VqcModel(1, 1, [0.0, 0.3, 0.0])
-        state = pqc_apply(simcore.zero_state(1), model, 0)
+        state = output_state(model, 0)
         assert abs(simcore.expectation_z(state, 0) - math.cos(0.3)) <= 1e-12
 
     def test_zero_angles_chain_fixes_00(self):
         model = VqcModel(2, 1, np.zeros(6), entangler="chain")
-        state = pqc_apply(simcore.zero_state(2), model, 0)
+        state = output_state(model, 0)
         assert np.allclose(state.amps, simcore.zero_state(2).amps)
 
     def test_zero_angles_chain_flips_target_of_10(self):
         model = VqcModel(2, 1, np.zeros(6), entangler="chain")
-        state = pqc_apply(simcore.basis_state(2, 2), model, 0)
+        state = output_state(model, 2)
         assert np.allclose(state.amps, simcore.basis_state(2, 3).amps)
-
-    def test_layer_index_range(self):
-        model = VqcModel(2, 1, np.zeros(6))
-        with pytest.raises(ValueError):
-            pqc_apply(simcore.zero_state(2), model, 1)
 
     def test_ring_adds_wraparound_cnot(self):
         assert vqc.entangler_pairs(4, "ring") == [(0, 1), (1, 2), (2, 3),
@@ -238,6 +248,13 @@ class TestRunCircuitBatch:
                 model, np.tile(model.params, (n, 1)), observations)
             assert flat.shape == tiled.shape == (n, u)
             assert np.max(np.abs(flat - tiled)) <= 1e-12
+            # distinct rows: each must match its own flat-vector run
+            rows = rng.uniform(-np.pi, np.pi, (n, model.num_params))
+            per_row = vqc.run_circuit_batch(model, rows, observations)
+            for b in range(n):
+                own = vqc.run_circuit_batch(model, rows[b],
+                                            observations[b:b + 1])
+                assert np.max(np.abs(per_row[b] - own[0])) <= 1e-12
 
     @pytest.mark.parametrize("observations", [
         [4], [-1], [0.5], [True], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]])
@@ -364,7 +381,7 @@ class TestGradients:
         u = model.num_qubits
         grad = parameter_shift_grad(model, rng.normal(size=u),
                                     rng.normal(size=u))
-        gamma_block = grad[3 * u * (model.depth - 1) + 2 * u:]
+        gamma_block = vqc.layer_view(grad, u)[-1, 2]
         assert np.max(np.abs(gamma_block)) <= 1e-12
 
     def test_matches_finite_differences(self):
@@ -459,6 +476,28 @@ class TestParams:
         with pytest.raises(ValueError):
             model.params = np.zeros(5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, bad):
+        params = np.zeros(6)
+        params[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            VqcModel(2, 1, params)
+        model = VqcModel(2, 1)
+        with pytest.raises(ValueError, match="finite"):
+            model.params = params
+        assert np.array_equal(model.params, np.zeros(6))
+
+    def test_layer_view_is_the_flat_layout(self):
+        u, depth = 3, 2
+        flat = np.arange(3 * u * depth, dtype=float)
+        view = vqc.layer_view(flat, u)
+        assert view.shape == (depth, 3, u)
+        assert np.shares_memory(view, flat)
+        # layer-major; each layer's RX, RY, RZ angles as rows of U wires
+        assert view[1, 2, 0] == flat[3 * u * 1 + 2 * u + 0]
+        batch = np.stack([flat, -flat])
+        assert np.array_equal(vqc.layer_view(batch, u)[1], -view)
+
     def test_near_identity_initialization(self):
         model = VqcModel.random(3, 2, seed=0)
         assert np.max(np.abs(model.params)) < np.pi / 100
@@ -474,6 +513,19 @@ class TestSerialization:
         doc = json.loads(serialize_model(VqcModel(2, 1)))
         del doc["params"]
         with pytest.raises(ModelFormatError, match="params"):
+            deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_qubits", None), ("depth", 1.7), ("depth", True),
+        ("params", {}), ("entangler", 3), ("encoding", None),
+        ("scale", None), ("nonlinearity", 1)])
+    def test_bad_value_named(self, key, value):
+        doc = json.loads(serialize_model(VqcModel(2, 1)))
+        if key in doc["encoding"]:
+            doc["encoding"][key] = value
+        else:
+            doc[key] = value
+        with pytest.raises(ModelFormatError, match=key):
             deserialize_model(json.dumps(doc))
 
     def test_version_mismatch(self):
