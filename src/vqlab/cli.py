@@ -11,7 +11,8 @@ Subcommands:
 Configuration is a JSON file (schema "vqlab-v1") plus command-line flags;
 flags win over the file, the file over the defaults in ``SECTIONS``, where
 each key is declared once.  ``load_config`` rejects unknown keys and any
-value whose type differs from its default's, non-finite numbers included.
+value whose type differs from its default's, non-finite numbers included,
+under the same rules (``vqc.parse_document``) that checkpoints are read by.
 Every command honors --seed (a generated seed is echoed into the outputs);
 train-qrl's run_config.json, given back as --config, replays the run.
 Exit codes: 0 success, 1 validation error, 2 runtime/resource error.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -32,7 +34,7 @@ import numpy as np
 from . import qrl, quanv, vqc
 from .qrl import QrlConfig
 from .simcore import ResourceLimitError
-from .vqc import ModelFormatError, VqcModel
+from .vqc import VqcModel
 
 CONFIG_SCHEMA = "vqlab-v1"
 GRAD_CHECK_QUBIT_CAP = 12
@@ -53,10 +55,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Every config key with its default, declared once.  A value must have its
-# default's type: an int passes for a float key, a bool for no numeric key,
-# a number must be finite, and a None default (entangler) takes null or a
-# string.  The top-level seed has no default; its 0 gives only the type.
+# Every config key with its default, declared once; a value must have its
+# default's type (see vqc.parse_document).  The top-level seed has no
+# default; its 0 gives only the type.
 SECTIONS = {
     "grad_check": {"trials": 100, "max_qubits": 4, "max_depth": 3,
                    "h": 1e-4, "tolerance": 1e-5},
@@ -67,50 +68,17 @@ SECTIONS = {
 CONFIG_KEYS = {"schema": CONFIG_SCHEMA, "seed": 0, "out": "out", **SECTIONS}
 
 
-def _check_section(doc: dict, table: dict, where: str) -> None:
-    unknown = set(doc) - set(table)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    for key, value in doc.items():
-        default = table[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            _check_section(value, default, key)
-            continue
-        if isinstance(default, str) or default is None:  # None: entangler
-            ok = isinstance(value, str) or value is default
-            kind = "null or a string" if default is None else "a string"
-        else:  # the bound also rejects the NaN, Infinity and 1e400 of JSON
-            ok = (isinstance(value, (int, type(default)))
-                  and not isinstance(value, bool)
-                  and abs(value) <= sys.float_info.max)
-            kind = "an integer" if type(default) is int else "a finite number"
-        if not ok:
-            raise ConfigError(f"{where} {key} must be {kind}, got {value!r}")
-
-
 def load_config(path: Optional[str]) -> dict:
     """The parsed config, its keys and value types checked, unconverted."""
     if path is None:
         return {}
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
+        return vqc.parse_document(Path(path).read_text(), CONFIG_KEYS,
+                                  "config", complete=False)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    if doc.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(
-            f"{path}: schema must be {CONFIG_SCHEMA!r}, "
-            f"got {doc.get('schema')!r}")
-    _check_section(doc, CONFIG_KEYS, "config")
-    return doc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def resolved_section(config: dict, name: str, **flags) -> dict:
@@ -142,10 +110,13 @@ def cmd_grad_check(args) -> int:
     config = load_config(args.config)
     section = resolved_section(config, "grad_check", max_qubits=args.qubits,
                                max_depth=args.depth)
-    for key in ("trials", "max_qubits", "max_depth"):
-        if section[key] < 1:
-            raise ConfigError(
-                f"grad_check {key} must be >= 1, got {section[key]}")
+    for key, low, high in (
+            ("trials", 1, math.inf), ("max_qubits", 1, math.inf),
+            ("max_depth", 1, math.inf), ("tolerance", 0, math.inf),
+            ("h", 1e-6, 1e-2)):
+        if not low <= section[key] <= high:
+            raise ConfigError(f"grad_check {key} must be in [{low}, {high}], "
+                              f"got {section[key]}")
     for key, cap in (("max_qubits", GRAD_CHECK_QUBIT_CAP),
                      ("max_depth", GRAD_CHECK_DEPTH_CAP)):
         if section[key] > cap:
@@ -233,10 +204,9 @@ def cmd_quanv(args) -> int:
     if section["k"] < 1:
         raise ConfigError(f"quanv k must be >= 1, got {section['k']}")
     filt = quanv.QuanvFilter.random(seed=seed, **section)
-    out = resolve_out(args, config)
     map2d = quanv.load_map_csv(args.map)
     output = quanv.quanv_forward(filt, map2d)
-    result_path = out / "quanv_output.json"
+    result_path = resolve_out(args, config) / "quanv_output.json"
     result_path.write_text(quanv.output_to_json(output))
     print(f"quanvolved {map2d.shape[0]}x{map2d.shape[1]} map into "
           f"{output.shape[0]}x{output.shape[1]}x{output.shape[2]} channels "

@@ -321,33 +321,30 @@ def random_policy_baseline(env_kind: str, episodes: int,
         _returns(env_kind, uniform, episodes, rng)))}
 
 
+CHECKPOINT_KEYS = {**vqc.MODEL_KEYS, "action_scale": [0.0], "gamma": 0.0,
+                   "step": 0}
+
+
 def agent_to_json(agent: QrlAgent) -> str:
     """Checkpoint: the model document plus scale/gamma/step."""
-    doc = json.loads(vqc.serialize_model(agent.online))
-    doc["action_scale"] = [float(s) for s in agent.action_scale]
-    doc["gamma"] = agent.gamma
-    doc["step"] = agent.step
-    return json.dumps(doc)
+    return json.dumps({**vqc.model_to_dict(agent.online),
+                       "action_scale": agent.action_scale.tolist(),
+                       "gamma": agent.gamma, "step": agent.step})
 
 
 def agent_from_json(text: str, target_sync_interval: int = 50) -> QrlAgent:
-    model = vqc.deserialize_model(text)
-    doc = json.loads(text)  # valid: deserialize_model has parsed it
-    vqc.check_fields(doc, {"action_scale": list, "gamma": float, "step": int},
-                     "checkpoint")
-    scale = np.asarray(doc["action_scale"], dtype=np.float64)
-    if not np.all(np.isfinite(scale)):
-        raise vqc.ModelFormatError("checkpoint action_scale must be finite")
-    if scale.size > model.num_qubits:
-        raise vqc.ModelFormatError(
-            f"checkpoint has {scale.size} action_scale entries for "
-            f"{model.num_qubits} qubit(s)")
-    gamma = float(doc["gamma"])
-    if not 0 < gamma < 1:
-        raise vqc.ModelFormatError(
-            f"checkpoint gamma must lie in (0, 1), got {gamma}")
-    agent = QrlAgent(model, scale.size, gamma, target_sync_interval)
-    agent.action_scale = scale
-    agent.step = doc["step"]
+    model, doc = vqc.read_checkpoint(text, CHECKPOINT_KEYS)
+    scale, gamma, step = doc["action_scale"], doc["gamma"], doc["step"]
+    for key, ok, rule in (
+            ("action_scale", 1 <= len(scale) <= model.num_qubits,
+             f"have 1 to {model.num_qubits} entries, one per action"),
+            ("gamma", 0 < gamma < 1, "lie in (0, 1)"),
+            ("step", step >= 0, "be >= 0")):
+        if not ok:
+            raise vqc.ModelFormatError(
+                f"checkpoint {key} must {rule}, got {doc[key]}")
+    agent = QrlAgent(model, len(scale), gamma, target_sync_interval)
+    agent.action_scale = np.array(scale, dtype=np.float64)
+    agent.step = step
     agent.sync_target()
     return agent

@@ -28,6 +28,9 @@ cached Z table, and the adjoint un-applies each layer with one matmul.
 Per-row parameter batches and larger circuits run gate by gate.  The
 threshold is measured: at L=2 and 32 rows, block build plus forward and
 adjoint beats the per-gate path up to U=6 and loses from U=7.
+
+Configs and checkpoints share one JSON checker, :func:`parse_document`;
+a checkpoint has exactly the keys of :data:`MODEL_KEYS` or its extension.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -68,6 +72,8 @@ class EncodingSpec:
     def __post_init__(self):
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
 
 
 @dataclass
@@ -484,57 +490,83 @@ def finite_diff_grad(model: VqcModel, x, upstream: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# JSON documents: configs and checkpoints
 
-def serialize_model(model: VqcModel) -> str:
-    return json.dumps({
-        "schema": MODEL_SCHEMA,
-        "num_qubits": model.num_qubits,
-        "depth": model.depth,
-        "entangler": model.entangler,
-        "encoding": {"nonlinearity": model.encoding.nonlinearity,
-                     "scale": model.encoding.scale},
-        "params": [float(p) for p in model.params],
-    })
+# The model checkpoint's keys, each with an example value of its JSON type
+MODEL_KEYS = {"schema": MODEL_SCHEMA, "num_qubits": 0, "depth": 0,
+              "entangler": "ring", "params": [0.0],
+              "encoding": {"nonlinearity": "sigmoid", "scale": 0.0}}
 
 
-def check_fields(doc: dict, kinds: dict, where: str) -> None:
-    """Each key of ``kinds`` is in ``doc`` with a value of its JSON type: int,
-    float (which an int also passes), str, list or dict; a bool is none."""
-    for key, kind in kinds.items():
-        if key not in doc:
-            raise ModelFormatError(f"{where} missing key {key!r}")
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float) if kind is float else kind):
-            raise ModelFormatError(
-                f"{where} {key} must be {kind.__name__}, got {value!r}")
-
-
-def model_from_dict(doc: dict) -> VqcModel:
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != MODEL_SCHEMA:
-        raise ModelFormatError(
-            f"unsupported model schema {schema!r} (expected {MODEL_SCHEMA!r})")
-    check_fields(doc, {"num_qubits": int, "depth": int, "entangler": str,
-                       "encoding": dict, "params": list}, "model")
-    enc = doc["encoding"]
-    check_fields(enc, {"nonlinearity": str, "scale": float}, "model encoding")
-    try:
-        return VqcModel(doc["num_qubits"], doc["depth"], doc["params"],
-                        doc["entangler"], EncodingSpec(enc["nonlinearity"],
-                                                       float(enc["scale"])))
-    except (TypeError, ValueError) as exc:  # a params entry of another type
-        raise ModelFormatError(str(exc)) from exc
-
-
-def deserialize_model(text: str) -> VqcModel:
+def parse_document(text: str, keys: dict, where: str, complete: bool) -> dict:
+    """The JSON object in ``text``, checked against ``keys``, a table of
+    example values whose ``schema`` is the one accepted.  Unknown keys are
+    rejected and, with ``complete``, missing ones.  A value has its example's
+    JSON type: an int passes for a float, a bool for no number, numbers are
+    finite, None takes null or a string, a dict is a nested table and a
+    list's one entry types every entry.  Raises ValueError naming the key."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return model_from_dict(doc)
+        raise ValueError(f"invalid JSON: {exc}") from None
+    _check_json(doc, keys, where, complete)
+    return doc
+
+
+def _check_json(value, example, name: str, complete: bool) -> None:
+    if isinstance(example, (dict, list)):
+        ok = isinstance(value, type(example))
+        kind = "an object" if isinstance(example, dict) else "a list"
+    elif isinstance(example, str) or example is None:
+        ok = isinstance(value, str) or value is example
+        kind = "null or a string" if example is None else "a string"
+    else:  # the bound also rejects the NaN, Infinity and 1e400 of JSON
+        ok = (isinstance(value, (int, type(example)))
+              and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+        kind = "an integer" if type(example) is int else "a finite number"
+    if not ok:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if isinstance(example, list):
+        for i, entry in enumerate(value):
+            _check_json(entry, example[0], f"{name}[{i}]", complete)
+    elif isinstance(example, dict):
+        # the schema first: a document of another version has other keys
+        if "schema" in example and value.get("schema") != example["schema"]:
+            raise ValueError(f"{name} schema must be {example['schema']!r}, "
+                             f"got {value.get('schema')!r}")
+        unknown = ", ".join(sorted(set(value) - set(example)))
+        if unknown:
+            raise ValueError(f"unknown key(s) in {name}: {unknown}")
+        for key, entry in example.items():
+            if key in value:
+                _check_json(value[key], entry, f"{name} {key}", complete)
+            elif complete:
+                raise ValueError(f"{name} missing key {key!r}")
+
+
+def model_to_dict(model: VqcModel) -> dict:
+    return {"schema": MODEL_SCHEMA, "num_qubits": model.num_qubits,
+            "depth": model.depth, "entangler": model.entangler,
+            "encoding": asdict(model.encoding),
+            "params": model.params.tolist()}
+
+
+def serialize_model(model: VqcModel) -> str:
+    return json.dumps(model_to_dict(model))
+
+
+def read_checkpoint(text: str, keys: dict) -> tuple[VqcModel, dict]:
+    """The model in checkpoint ``text`` and the whole document, checked
+    against ``keys``: :data:`MODEL_KEYS`, or a table that extends it."""
+    try:
+        doc = parse_document(text, keys, "checkpoint", complete=True)
+        model = VqcModel(doc["num_qubits"], doc["depth"], doc["params"],
+                         doc["entangler"], EncodingSpec(**doc["encoding"]))
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+    return model, doc
+
+
+def deserialize_model(text: str) -> VqcModel:
+    return read_checkpoint(text, MODEL_KEYS)[0]

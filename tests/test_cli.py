@@ -8,6 +8,7 @@ import pytest
 
 from vqlab import vqc
 from vqlab.cli import CONFIG_KEYS, SECTIONS, ConfigError, load_config, main
+from vqlab.qrl import CHECKPOINT_KEYS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -168,6 +169,21 @@ def test_readme_documents_every_config_key():
                  if key not in SECTIONS}
     assert documented == declared
 
+    # the checkpoint table: nested keys as encoding.scale
+    def flat(table):
+        keys = set()
+        for key, value in table.items():
+            keys |= ({f"{key}.{inner}" for inner in value}
+                     if isinstance(value, dict) else {key})
+        return keys
+
+    documented = set(re.findall(r"^\| (model|agent) \| `([\w.]+)` \|",
+                                section, re.MULTILINE))
+    model_keys = flat(vqc.MODEL_KEYS)
+    declared = {("model", key) for key in model_keys}
+    declared |= {("agent", key) for key in flat(CHECKPOINT_KEYS) - model_keys}
+    assert documented == declared
+
 
 class TestGradCheck:
     def test_default_run_passes(self, tmp_path):
@@ -204,12 +220,18 @@ class TestGradCheck:
         assert main(["grad-check", "--seed", "0"] + flags) == 1
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["trials", "max_qubits", "max_depth"])
-    def test_non_positive_config_value_named(self, tmp_path, key, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("trials", -5), ("max_qubits", -5), ("max_depth", -5),
+        ("tolerance", -1), ("h", 0.5)],
+        ids=["trials", "max_qubits", "max_depth", "tolerance", "h"])
+    def test_non_positive_config_value_named(self, tmp_path, key, value,
+                                             capsys):
+        # out of range: rejected naming section and key before any trial
         config = write_config(tmp_path, {"schema": "vqlab-v1",
-                                         "grad_check": {key: -5}})
+                                         "grad_check": {key: value}})
         assert main(["grad-check", "--config", config, "--seed", "0"]) == 1
-        assert key in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert f"grad_check {key}" in err and out == ""
 
 
 class TestUsageErrors:
@@ -384,6 +406,16 @@ class TestQuanv:
         assert main(["quanv", map_path, "--config", config, "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 2
         assert "cap is 24 qubits" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_map_smaller_than_patch_leaves_no_output(self, tmp_path, capsys):
+        map_path = self.write_map(tmp_path, np.zeros((3, 3)).tolist())
+        config = write_config(tmp_path, {"schema": "vqlab-v1",
+                                         "quanv": {"k": 4}})
+        assert main(["quanv", map_path, "--config", config, "--seed", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "smaller than patch" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_every_key_at_default_matches_empty_config(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -403,3 +435,4 @@ class TestQuanv:
         assert main(["quanv", str(path), "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 1
         assert "row 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -323,11 +323,46 @@ class TestCheckpoint:
         ("step", None),
         ("step", 1.5),
         ("action_scale", {}),
+        ("step", -5),
+        ("action_scale", []),
+        ("action_scale", ["2", 1.0, 1.0, 1.0]),
+        ("action_scale", [{}, 1.0, 1.0, 1.0]),
+        ("params", ["0.5"] * 24),
+        ("params", [True] * 24),
+        ("encoding", {"nonlinearity": "sigmoid", "scale": float("nan")}),
+        ("encoding", {"nonlinearity": "sigmoid", "scale": float("inf")}),
     ])
     def test_bad_value_named(self, key, value):
         doc = json.loads(agent_to_json(frozenlake_agent()))
         doc[key] = value
         with pytest.raises(ModelFormatError, match=key):
+            agent_from_json(json.dumps(doc))
+
+    def test_every_written_key_checked(self):
+        # the keys come from a written checkpoint, so a new key is covered
+        def corruptions(doc):
+            for key, value in doc.items():
+                wrong_type = {} if isinstance(value, list) else []
+                for bad in (wrong_type, True, "1"):
+                    yield key, {**doc, key: bad}
+                if isinstance(value, dict):
+                    for inner, bad in corruptions(value):
+                        yield inner, {**doc, key: bad}
+                if isinstance(value, list):
+                    for bad in ("1", {}, float("nan")):
+                        yield key, {**doc, key: [bad] + value[1:]}
+
+        doc = json.loads(agent_to_json(frozenlake_agent()))
+        cases = list(corruptions(doc))
+        assert {key for key, _ in cases} >= set(doc) | set(doc["encoding"])
+        for key, bad in cases:
+            with pytest.raises(ModelFormatError, match=key):
+                agent_from_json(json.dumps(bad))
+
+    def test_unknown_key_rejected(self):
+        doc = json.loads(agent_to_json(frozenlake_agent()))
+        doc["epsilon"] = 0.1
+        with pytest.raises(ModelFormatError, match="epsilon"):
             agent_from_json(json.dumps(doc))
 
     def test_malformed_json_reports_location(self):

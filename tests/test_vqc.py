@@ -539,6 +539,15 @@ class TestSerialization:
             deserialize_model("{not json")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_encoding_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="scale"):
+            EncodingSpec("sigmoid", bad)
+        doc = json.loads(serialize_model(VqcModel(2, 1)))
+        doc["encoding"]["scale"] = bad
+        with pytest.raises(ModelFormatError, match="scale"):
+            deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_params_rejected(self, bad):
         doc = json.loads(serialize_model(VqcModel(2, 1)))
         doc["params"][2] = bad
