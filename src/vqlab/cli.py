@@ -15,7 +15,7 @@ value whose type differs from its default's, non-finite numbers included,
 under the same rules (``vqc.parse_document``) that checkpoints are read by.
 Every command honors --seed (a generated seed is echoed into the outputs);
 train-qrl's run_config.json, given back as --config, replays the run.
-Exit codes: 0 success, 1 validation error, 2 runtime/resource error.
+Exit codes: 0 success, 1 validation or path error, 2 runtime/resource error.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from .vqc import VqcModel
 CONFIG_SCHEMA = "vqlab-v1"
 GRAD_CHECK_QUBIT_CAP = 12
 GRAD_CHECK_DEPTH_CAP = 16
-
-METRIC_COLUMNS = ("episode", "steps", "return", "mean_loss", "epsilon",
-                  "wall_ms")
 
 
 class ConfigError(ValueError):
@@ -148,12 +145,12 @@ def cmd_grad_check(args) -> int:
 def write_metrics_csv(path: Path, metrics: list) -> None:
     """One row per episode, flushed per row so interrupts leave valid rows."""
     with open(path, "w") as handle:
-        handle.write(",".join(METRIC_COLUMNS) + "\n")
+        handle.write(",".join(qrl.METRIC_COLUMNS) + "\n")
         handle.flush()
         for row in metrics:
             handle.write(",".join(repr(row[c]) if isinstance(row[c], float)
                                   else str(row[c])
-                                  for c in METRIC_COLUMNS) + "\n")
+                                  for c in qrl.METRIC_COLUMNS) + "\n")
             handle.flush()
 
 
@@ -251,7 +248,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # ConfigError and ModelFormatError too
+    except (ValueError, OSError) as exc:  # bad input, or a wrong-kind path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -72,8 +72,8 @@ class Sgd:
     """Plain gradient descent: params - lr * grads."""
 
     def __init__(self, lr: float):
-        if lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not lr > 0:
+            raise ValueError(f"lr must be > 0, got {lr}")
         self.lr = lr
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -87,6 +87,8 @@ class Adam:
 
     def __init__(self, lr: float = 0.01, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        if not lr > 0:
+            raise ValueError(f"lr must be > 0, got {lr}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

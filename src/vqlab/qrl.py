@@ -1,10 +1,12 @@
-"""Quantum Q-learning: a circuit-backed DQN with replay and a target net.
+"""Quantum Q-learning: a circuit-backed DQN with replay and a target snapshot.
 
 The Q-function is a VqcModel: discrete observations enter as basis
 states, continuous ones through angle encoding, and Q(s, a) is a
 trainable per-action scale times the Z expectation of wire a.  Training
-minimizes the one-step TD error against a periodically synced frozen
-copy of the model, sampling transitions uniformly from a ring buffer.
+minimizes the one-step TD error against the same model at a periodically
+synced frozen copy of its parameters and scales, sampling batches
+uniformly from a ring buffer once it holds max(warmup, batch_size)
+transitions.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -22,12 +24,10 @@ from .optim import Loss
 from .vqc import VqcModel
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One replay unit: (s, a, r, s'), plus a terminal flag.
-
-    The flag is needed so terminal targets reduce to the bare reward.
-    """
+class Transition(NamedTuple):
+    """One replay unit: (s, a, r, s'), plus a terminal flag, which makes
+    terminal targets the bare reward; a sampled batch holds one array per
+    field."""
 
     state: Observation
     action: int
@@ -57,11 +57,13 @@ class ReplayBuffer:
         self._cursor = (self._cursor + 1) % self.capacity
 
     def sample(self, batch_size: int,
-               rng: np.random.Generator) -> List[Transition]:
+               rng: np.random.Generator) -> Transition:
+        """Uniform draws with replacement, as one Transition of arrays."""
         if batch_size > len(self._storage):
             raise ValueError("not enough transitions to sample")
         picks = rng.integers(0, len(self._storage), size=batch_size)
-        return [self._storage[i] for i in picks]
+        return Transition(*map(np.array,
+                               zip(*(self._storage[i] for i in picks))))
 
 
 @dataclass
@@ -104,8 +106,6 @@ class QrlConfig:
             raise ValueError(
                 f"batch_size ({self.batch_size}) must not exceed "
                 f"buffer_capacity ({self.buffer_capacity})")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
         # each raises naming its field when invalid
         spec = make_env(self.env).spec
         VqcModel(self.num_qubits, self.depth, entangler=self.entangler)
@@ -120,18 +120,18 @@ class QrlConfig:
 
 
 class QrlAgent:
-    """Online model, frozen target copy, and the per-action output scales."""
+    """Online model and per-action output scales, and a frozen copy of
+    both: ``target_params`` and ``target_action_scale``."""
 
     def __init__(self, online: VqcModel, action_count: int, gamma: float,
                  target_sync_interval: int):
         self.online = online
-        self.target = online.copy()
         self.action_count = action_count
         self.action_scale = np.ones(action_count)
-        self.target_action_scale = self.action_scale.copy()
         self.gamma = gamma
         self.target_sync_interval = target_sync_interval
         self.step = 0
+        self.sync_target()
 
     @classmethod
     def for_env(cls, config: QrlConfig) -> "QrlAgent":
@@ -143,17 +143,14 @@ class QrlAgent:
                    config.gamma, config.target_sync_interval)
 
     def sync_target(self) -> None:
-        self.target = self.online.copy()
+        self.target_params = self.online.params
         self.target_action_scale = self.action_scale.copy()
-
-
-def _z_batch(model: VqcModel, observations: Sequence[Observation]) -> np.ndarray:
-    return vqc.run_circuit_batch(model, model.params, observations)
 
 
 def q_values(agent: QrlAgent, observation: Observation) -> np.ndarray:
     """Q(s, .) = action_scale * <Z> of the first |A| wires."""
-    z = _z_batch(agent.online, [observation])[0]
+    z = vqc.run_circuit_batch(agent.online, agent.online.params,
+                              [observation])[0]
     return agent.action_scale * z[:agent.action_count]
 
 
@@ -167,49 +164,44 @@ def select_action(qvals: np.ndarray, epsilon: float,
     return int(np.argmax(qvals))
 
 
-def bellman_targets(batch: Sequence[Transition], agent: QrlAgent) -> np.ndarray:
-    """r + gamma * max_a' Q_target(s', a'), with terminal rows just r."""
-    if len(batch) == 0:
+def bellman_targets(batch: Transition, agent: QrlAgent) -> np.ndarray:
+    """r + gamma * max_a' Q_target(s', a'), with terminal rows just r;
+    Q_target is the online model at the target snapshot."""
+    if len(batch.reward) == 0:
         raise ValueError("empty batch")
-    rewards = np.array([t.reward for t in batch])
-    terminal = np.array([t.terminal for t in batch])
-    z_next = _z_batch(agent.target, [t.next_state for t in batch])
+    z_next = vqc.run_circuit_batch(agent.online, agent.target_params,
+                                   batch.next_state)
     q_next = agent.target_action_scale * z_next[:, :agent.action_count]
-    return np.where(terminal, rewards,
-                    rewards + agent.gamma * q_next.max(axis=1))
+    return np.where(batch.terminal, batch.reward,
+                    batch.reward + agent.gamma * q_next.max(axis=1))
 
 
 def train_step(agent: QrlAgent, buffer: ReplayBuffer, batch_size: int,
-               loss: Loss, optimizer, rng: np.random.Generator):
-    """One replay-batch update of theta and action_scale.
-
-    Returns the pre-step batch loss, or None while the buffer is underfull.
-    Targets are constants: no gradient flows into the target model.  An
-    update that makes theta or action_scale non-finite raises RuntimeError.
+               loss: Loss, optimizer, rng: np.random.Generator) -> float:
+    """One replay-batch update of theta and action_scale; returns the
+    pre-step batch loss.  Targets are constants: no gradient flows into the
+    target snapshot.  An update that makes theta or action_scale non-finite
+    raises RuntimeError.
     """
-    if len(buffer) < batch_size:
-        return None
     batch = buffer.sample(batch_size, rng)
-    actions = np.array([t.action for t in batch])
     targets = bellman_targets(batch, agent)
 
     # one online forward: its output states feed the readout and the adjoint
-    states = [t.state for t in batch]
-    psi = vqc.output_states(agent.online, states)
+    psi = vqc.output_states(agent.online, batch.state)
     z = vqc.readout(agent.online, psi)
     rows = np.arange(batch_size)
-    z_taken = z[rows, actions]
-    pred = agent.action_scale[actions] * z_taken
+    z_taken = z[rows, batch.action]
+    pred = agent.action_scale[batch.action] * z_taken
 
     value, dpred = optim.loss_and_grad(loss, pred, targets)
 
     # only the taken action's wire receives upstream gradient
     upstream = np.zeros((batch_size, agent.online.num_qubits))
-    upstream[rows, actions] = dpred * agent.action_scale[actions]
-    theta_grads = vqc.grad_batch(agent.online, upstream, states,
+    upstream[rows, batch.action] = dpred * agent.action_scale[batch.action]
+    theta_grads = vqc.grad_batch(agent.online, upstream, batch.state,
                                  psi=psi).sum(axis=0)
     scale_grads = np.zeros(agent.action_count)
-    np.add.at(scale_grads, actions, dpred * z_taken)
+    np.add.at(scale_grads, batch.action, dpred * z_taken)
 
     packed = np.concatenate([agent.online.params, agent.action_scale])
     grads = np.concatenate([theta_grads, scale_grads])
@@ -239,13 +231,17 @@ def _episode(env, policy: Callable[[Observation], int],
         obs = next_obs
 
 
+METRIC_COLUMNS = ("episode", "steps", "return", "mean_loss", "epsilon",
+                  "wall_ms")
+
+
 def run_training(config: QrlConfig) -> Tuple[QrlAgent, List[dict]]:
     """Full episode loop; metrics are a deterministic function of the config.
 
-    Returns the trained agent and one metrics row per episode with keys
-    episode, steps, return, mean_loss, epsilon, wall_ms.  wall_ms is kept
-    at 0 so reruns with the same config reproduce byte-identical outputs;
-    total wall time belongs in the caller's summary, not the metrics.
+    Returns the trained agent and one metrics row per episode, keyed by
+    METRIC_COLUMNS.  wall_ms is kept at 0 so reruns with the same config
+    reproduce byte-identical outputs; total wall time belongs in the
+    caller's summary, not the metrics.
     """
     rng = np.random.default_rng(config.seed)
     env = make_env(config.env)
@@ -254,6 +250,7 @@ def run_training(config: QrlConfig) -> Tuple[QrlAgent, List[dict]]:
     optimizer = optim.make_optimizer(config.optimizer, config.lr)
     loss = Loss(config.loss, config.huber_delta)
     epsilon = config.epsilon_start
+    start = max(config.warmup, config.batch_size)
     metrics: List[dict] = []
 
     def policy(obs):
@@ -265,22 +262,15 @@ def run_training(config: QrlConfig) -> Tuple[QrlAgent, List[dict]]:
         losses: List[float] = []
         for transition in _episode(env, policy, rng):
             buffer.push(transition)
-            if len(buffer) >= config.warmup:
-                loss_value = train_step(agent, buffer, config.batch_size,
-                                        loss, optimizer, rng)
-                if loss_value is not None:
-                    losses.append(loss_value)
+            if len(buffer) >= start:
+                losses.append(train_step(agent, buffer, config.batch_size,
+                                         loss, optimizer, rng))
             ep_return += transition.reward
             ep_steps += 1
         epsilon = max(config.epsilon_end, epsilon * config.epsilon_decay)
-        metrics.append({
-            "episode": episode,
-            "steps": ep_steps,
-            "return": ep_return,
-            "mean_loss": float(np.mean(losses)) if losses else 0.0,
-            "epsilon": epsilon,
-            "wall_ms": 0,
-        })
+        mean_loss = float(np.mean(losses)) if losses else 0.0
+        metrics.append(dict(zip(METRIC_COLUMNS, (episode, ep_steps, ep_return,
+                                                 mean_loss, epsilon, 0))))
     return agent, metrics
 
 
@@ -332,7 +322,7 @@ def agent_to_json(agent: QrlAgent) -> str:
                        "gamma": agent.gamma, "step": agent.step})
 
 
-def agent_from_json(text: str, target_sync_interval: int = 50) -> QrlAgent:
+def agent_from_json(text: str) -> QrlAgent:
     model, doc = vqc.read_checkpoint(text, CHECKPOINT_KEYS)
     scale, gamma, step = doc["action_scale"], doc["gamma"], doc["step"]
     for key, ok, rule in (
@@ -343,7 +333,7 @@ def agent_from_json(text: str, target_sync_interval: int = 50) -> QrlAgent:
         if not ok:
             raise vqc.ModelFormatError(
                 f"checkpoint {key} must {rule}, got {doc[key]}")
-    agent = QrlAgent(model, len(scale), gamma, target_sync_interval)
+    agent = QrlAgent(model, len(scale), gamma, QrlConfig.target_sync_interval)
     agent.action_scale = np.array(scale, dtype=np.float64)
     agent.step = step
     agent.sync_target()

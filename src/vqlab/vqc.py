@@ -9,9 +9,10 @@ analytic expectations; shot sampling lives only in
 Gradients w.r.t. the rotation angles are exact two ways.  Training uses
 adjoint differentiation (:func:`grad_batch` by default): one forward pass
 and one reverse sweep over the layers, whatever the parameter count.  The
-parameter-shift rule with shift pi/2, which is what hardware can run,
-stays in :func:`parameter_shift_grad`, ``vqlab grad-check`` and
-acceptance criterion 3; a central finite difference oracle is kept
+parameter-shift rule, exact at its one shift :data:`SHIFT` = pi/2 and
+what hardware can run, is ``grad_batch(..., parameter_shift=True)``; it
+backs :func:`parameter_shift_grad`, ``vqlab grad-check`` and acceptance
+criterion 3; a central finite difference oracle is kept
 alongside both for verification.
 
 Evaluation is vectorized and runs layer by layer: a batch of circuits is
@@ -148,11 +149,7 @@ class VqcModel:
 
     @params.setter
     def params(self, values) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self._params.shape:
-            raise ValueError(
-                f"expected {self._params.shape[0]} parameters, "
-                f"got shape {values.shape}")
+        values = _checked("parameters", values, [self._params.shape])
         if not np.all(np.isfinite(values)):
             raise ValueError("model params must be finite")
         self._params = values.copy()
@@ -161,10 +158,6 @@ class VqcModel:
     def layers(self) -> list[PqcLayer]:
         return [PqcLayer(*angles)
                 for angles in layer_view(self._params, self.num_qubits)]
-
-    def copy(self) -> "VqcModel":
-        return VqcModel(self.num_qubits, self.depth, self._params,
-                        self.entangler, self.encoding)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VqcModel)
@@ -289,6 +282,16 @@ def _observations(model: VqcModel, observations) -> np.ndarray:
     return obs
 
 
+def _checked(name: str, values, shapes: list) -> np.ndarray:
+    """``values`` as a float array, which must have one of ``shapes``."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape not in shapes:
+        expected = " or ".join(map(str, shapes))
+        raise ValueError(
+            f"expected {name} of shape {expected}, got shape {values.shape}")
+    return values
+
+
 def _input_states(model: VqcModel, obs: np.ndarray) -> np.ndarray:
     """(B, 2^U) input states for B checked observations: basis states, or
     for vector row b the product state RY(encoding_angles(x_b)[w]) on wire
@@ -346,12 +349,14 @@ def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
 
     ``observations`` are B basis-state indices, shape (B,), or B real
     vectors for the angle encoding, shape (B, U); they set each row's
-    input state and so the batch size.  ``thetas`` is the flat (3UL,)
-    parameter vector that every row shares, or (B, 3UL).  Basis inputs on
-    the block path read rows of the cached Z table.
+    input state and so the batch size.  ``thetas``, any parameters of
+    ``model``'s shape, is the flat (3UL,) vector that every row shares, or
+    (B, 3UL); another shape is rejected.  Basis inputs on the block path
+    read rows of the cached Z table.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
     obs = _observations(model, observations)
+    n = model.num_params
+    thetas = _checked("parameters", thetas, [(n,), (len(obs), n)])
     blocks = _blocks(model, thetas)
     if blocks is not None and obs.ndim == 1:
         _, _, z_table = blocks
@@ -369,30 +374,32 @@ def forward(model: VqcModel, x) -> np.ndarray:
 
 
 def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
-               shift: Optional[float] = None,
+               parameter_shift: bool = False,
                psi: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact gradients for n observations at once; shape (n, 3UL).
 
     ``observations`` are n basis-state indices, shape (n,), or n real
-    vectors, shape (n, U), as :func:`run_circuit_batch` takes them.  Row i
-    is d(upstreams[i] . z_i)/d(theta) where z_i is the analytic forward
-    output for observation i.  By default (``shift=None``) this is the
-    adjoint method that training uses: n forward rows and one reverse
-    sweep; ``psi``, the observations' :func:`output_states`, replaces
-    its forward pass.  An explicit ``shift`` runs the parameter-shift rule
-    instead, all 2 * 3UL * n shifted circuits as a single batch; that is
-    the path of :func:`parameter_shift_grad`.
+    vectors, shape (n, U), as :func:`run_circuit_batch` takes them, and
+    ``upstreams`` has shape (n, U).  Row i is d(upstreams[i] . z_i)/d(theta)
+    where z_i is the analytic forward output for observation i.  By
+    default this is the adjoint method that training uses: n forward rows
+    and one reverse sweep; ``psi``, the observations' :func:`output_states`,
+    replaces its forward pass.  ``parameter_shift`` runs the
+    parameter-shift rule at :data:`SHIFT` instead, all 2 * 3UL * n shifted
+    circuits as a single batch; that is the path of
+    :func:`parameter_shift_grad`.
     """
-    if shift is None:
+    n, n_params = len(observations), model.num_params
+    upstreams = _checked("upstreams", upstreams, [(n, model.num_qubits)])
+    if not parameter_shift:
         return _adjoint_grad(model, upstreams, observations, psi)
-    n, n_params = upstreams.shape[0], model.num_params
     theta = model.params
     # rows: input-major, then parameter, then (+, -) shift
     thetas = np.tile(theta, (n * n_params * 2, 1))
     k = np.arange(n_params)
     block = np.zeros((n_params * 2, n_params))
-    block[2 * k, k] = shift
-    block[2 * k + 1, k] = -shift
+    block[2 * k, k] = SHIFT
+    block[2 * k + 1, k] = -SHIFT
     thetas += np.tile(block, (n, 1))
     z = run_circuit_batch(model, thetas, np.repeat(
         np.asarray(observations), n_params * 2, axis=0))
@@ -463,12 +470,8 @@ def _layer_derivatives(pair: np.ndarray, num_qubits: int,
 def parameter_shift_grad(model: VqcModel, x, upstream: np.ndarray) -> np.ndarray:
     """Exact gradient of upstream . forward(model, x) w.r.t. the flat
     params, by the parameter-shift rule with shift :data:`SHIFT`."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (model.num_qubits,):
-        raise ValueError(
-            f"expected upstream of length {model.num_qubits}, "
-            f"got shape {upstream.shape}")
-    return grad_batch(model, upstream[None, :], [x], shift=SHIFT)[0]
+    upstream = _checked("upstream", upstream, [(model.num_qubits,)])
+    return grad_batch(model, upstream[None, :], [x], parameter_shift=True)[0]
 
 
 def finite_diff_grad(model: VqcModel, x, upstream: np.ndarray,
@@ -476,7 +479,7 @@ def finite_diff_grad(model: VqcModel, x, upstream: np.ndarray,
     """Central-difference oracle for :func:`parameter_shift_grad`."""
     if not 1e-6 <= h <= 1e-2:
         raise ValueError(f"h must be in [1e-6, 1e-2], got {h}")
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = _checked("upstream", upstream, [(model.num_qubits,)])
     n_params = model.num_params
     theta = model.params
     thetas = np.tile(theta, (n_params * 2, 1))

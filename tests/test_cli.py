@@ -208,6 +208,11 @@ class TestGradCheck:
                      "--seed", "0"]) == 2
         assert "max_depth" in capsys.readouterr().err
 
+    def test_seed_generated_and_echoed(self, capsys):
+        assert main(["grad-check", "--qubits", "1", "--depth", "1"]) == 0
+        out = capsys.readouterr().out
+        assert re.match(r"no seed given; generated seed \d+\n", out)
+
     def test_bad_config_is_validation_error(self, tmp_path):
         config = write_config(tmp_path, {"schema": "vqlab-v1", "oops": 1})
         assert main(["grad-check", "--config", config]) == 1
@@ -251,6 +256,21 @@ class TestUsageErrors:
     def test_exits_1_naming_flag(self, argv, flag, capsys):
         assert main(argv) == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["grad-check", "--config", "{dir}"], "Is a directory: '{dir}'"),
+        (["quanv", "{map}", "--out", "{map}"], "File exists: '{map}'"),
+        (["quanv", "{map}", "--out", "{map}/sub"],
+         "Not a directory: '{map}/sub'"),
+    ], ids=["config-is-directory", "out-is-file", "out-under-file"])
+    def test_path_of_wrong_kind_exits_1(self, tmp_path, argv, named, capsys):
+        map_path = tmp_path / "map.csv"
+        map_path.write_text("0,0\n0,0\n")
+        paths = {"dir": tmp_path, "map": map_path}
+        argv = [arg.format(**paths) for arg in argv] + ["--seed", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert named.format(**paths) in err and "Traceback" not in err
 
 
 class TestTrainQrl:

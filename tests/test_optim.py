@@ -17,10 +17,6 @@ class TestSgd:
         with pytest.raises(ValueError):
             Sgd(0.1).step(np.zeros(2), np.zeros(3))
 
-    def test_nonpositive_lr_rejected(self):
-        with pytest.raises(ValueError):
-            Sgd(0.0)
-
     def test_descends_a_quadratic(self):
         params = np.array([3.0, -2.0])
         loss = lambda p: float(np.sum(p ** 2))
@@ -120,11 +116,22 @@ class TestLosses:
         with pytest.raises(ValueError):
             loss_and_grad(MSE, np.array([]), np.array([]))
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"\(3,\) != target shape \(2,"):
+            loss_and_grad(MSE, np.zeros(3), np.zeros(2))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Loss("logcosh")
         with pytest.raises(ValueError):
             Loss("huber", 0.0)
+
+
+@pytest.mark.parametrize("optimizer", [Sgd, Adam])
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+def test_nonpositive_lr_rejected(optimizer, lr):
+    with pytest.raises(ValueError, match=f"lr must be > 0, got {lr}"):
+        optimizer(lr)
 
 
 def test_make_optimizer():

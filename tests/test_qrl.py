@@ -29,6 +29,11 @@ def random_transitions(rng, n, action_count=4):
     return out
 
 
+def as_batch(transitions):
+    """Transitions as one sampled batch: a Transition of arrays."""
+    return Transition(*map(np.array, zip(*transitions)))
+
+
 class _IdentityOptimizer:
     """Zero-learning-rate stand-in for the lr=0 contract check."""
 
@@ -42,6 +47,10 @@ class TestReplayBuffer:
         for t in random_transitions(np.random.default_rng(0), 5):
             buf.push(t)
         assert len(buf) == 3
+
+    def test_capacity_checked(self):
+        with pytest.raises(ValueError, match="capacity"):
+            ReplayBuffer(0)
 
     def test_sample_requires_enough_items(self):
         buf = ReplayBuffer(10)
@@ -57,10 +66,22 @@ class TestReplayBuffer:
         rng = np.random.default_rng(2)
         counts = np.zeros(n)
         for _ in range(5000):
-            for t in buf.sample(n, rng):
-                counts[int(t.reward)] += 1
+            for reward in buf.sample(n, rng).reward:
+                counts[int(reward)] += 1
         freqs = counts / counts.sum()
         assert np.all(np.abs(freqs - 1 / n) <= 0.05 / n)
+
+    def test_sample_is_one_record_of_arrays(self):
+        buf = ReplayBuffer(10)
+        transitions = random_transitions(np.random.default_rng(1), 10)
+        for t in transitions:
+            buf.push(t)
+        picks = np.random.default_rng(4).integers(0, 10, size=6)
+        batch = buf.sample(6, np.random.default_rng(4))
+        for field, column in zip(Transition._fields, batch):
+            assert isinstance(column, np.ndarray) and column.shape == (6,)
+            assert column.tolist() == [getattr(transitions[i], field)
+                                       for i in picks]
 
 
 class TestQValues:
@@ -110,38 +131,42 @@ class TestSelectAction:
 class TestBellmanTargets:
     def test_terminal_masking(self):
         agent = frozenlake_agent()
-        batch = [Transition(0, 1, 1.0, 15, True)]
+        batch = as_batch([Transition(0, 1, 1.0, 15, True)])
         assert np.array_equal(bellman_targets(batch, agent), [1.0])
         # independent of the target parameters
-        agent.target.params = agent.target.params + 1.0
+        agent.target_params = agent.target_params + 1.0
         assert np.array_equal(bellman_targets(batch, agent), [1.0])
 
     def test_degenerate_discount(self):
         agent = frozenlake_agent()
         agent.gamma = 1e-12
-        batch = random_transitions(np.random.default_rng(3), 8)
+        batch = as_batch(random_transitions(np.random.default_rng(3), 8))
         targets = bellman_targets(batch, agent)
-        rewards = np.array([t.reward for t in batch])
-        assert np.allclose(targets, rewards, atol=1e-10)
+        assert np.allclose(targets, batch.reward, atol=1e-10)
 
     def test_arithmetic(self):
         agent = frozenlake_agent()
         agent.gamma = 0.9
         agent.target_action_scale = np.zeros(4)
-        batch = [Transition(0, 0, 0.0, 1, False)]
+        batch = as_batch([Transition(0, 0, 0.0, 1, False)])
         base = bellman_targets(batch, agent)[0]
         assert base == pytest.approx(0.0)
         # force max target-Q = 0.5 via the scale on a +1 wire
-        z = qrl._z_batch(agent.target, [1])[0]
+        z = vqc.run_circuit_batch(agent.online, agent.target_params, [1])[0]
         wire = int(np.argmax(np.abs(z)))
         scale = np.zeros(4)
         scale[wire] = 0.5 / z[wire]
         agent.target_action_scale = scale
         assert bellman_targets(batch, agent)[0] == pytest.approx(0.45)
 
+    def test_empty_batch_rejected(self):
+        empty = Transition(*(np.array([], dtype=int),) * 5)
+        with pytest.raises(ValueError, match="empty batch"):
+            bellman_targets(empty, frozenlake_agent())
+
     def test_frozen_between_syncs(self):
         agent = frozenlake_agent(seed=4)
-        batch = random_transitions(np.random.default_rng(5), 6)
+        batch = as_batch(random_transitions(np.random.default_rng(5), 6))
         before = bellman_targets(batch, agent)
         agent.online.params = agent.online.params + 0.3  # theta moves
         agent.action_scale = agent.action_scale * 3.0
@@ -153,8 +178,9 @@ class TestTrainStep:
     def test_underfull_buffer_not_ready(self):
         agent = frozenlake_agent()
         buf = ReplayBuffer(100)
-        assert train_step(agent, buf, 32, MSE, optim.Adam(0.01),
-                          np.random.default_rng(0)) is None
+        with pytest.raises(ValueError, match="not enough transitions"):
+            train_step(agent, buf, 32, MSE, optim.Adam(0.01),
+                       np.random.default_rng(0))
 
     def test_zero_lr_changes_nothing(self):
         agent = frozenlake_agent(seed=6)
@@ -172,21 +198,18 @@ class TestTrainStep:
     def test_loss_gradient_matches_finite_differences(self):
         config = QrlConfig(env="frozenlake", depth=1, seed=7)
         agent = QrlAgent.for_env(config)
-        batch = random_transitions(np.random.default_rng(8), 2)
+        batch = as_batch(random_transitions(np.random.default_rng(8), 2))
         targets = bellman_targets(batch, agent)
-        actions = np.array([t.action for t in batch])
-        states = [t.state for t in batch]
+        actions, states = batch.action, batch.state
 
         def batch_loss(theta):
-            model = agent.online.copy()
-            model.params = theta
-            z = qrl._z_batch(model, states)
+            z = vqc.run_circuit_batch(agent.online, theta, states)
             pred = agent.action_scale[actions] * z[np.arange(2), actions]
             value, _ = optim.loss_and_grad(MSE, pred, targets)
             return value
 
         # replicate the analytic theta gradient the way train_step builds it
-        z = qrl._z_batch(agent.online, states)
+        z = vqc.run_circuit_batch(agent.online, agent.online.params, states)
         pred = agent.action_scale[actions] * z[np.arange(2), actions]
         _, dpred = optim.loss_and_grad(MSE, pred, targets)
         upstream = np.zeros((2, 4))
@@ -213,13 +236,22 @@ class TestTrainStep:
                 t = Transition(rng.normal(size=4), t.action, t.reward,
                                rng.normal(size=4), t.terminal)
             buf.push(t)
+        # between syncs: the target's forward runs at other parameters
+        agent.target_params = agent.target_params + 0.1
+        # counted at the public entry points: basis inputs on the block
+        # path read the cached Z table without building output states
         forwards = []
-        original = vqc._output_states
+        run, states = vqc.run_circuit_batch, vqc.output_states
 
-        def counted(model, *args):
-            forwards.append(model is agent.online)
-            return original(model, *args)
-        monkeypatch.setattr(vqc, "_output_states", counted)
+        def counted_run(model, thetas, observations):
+            forwards.append(np.array_equal(thetas, agent.online.params))
+            return run(model, thetas, observations)
+
+        def counted_states(model, observations):
+            forwards.append(True)
+            return states(model, observations)
+        monkeypatch.setattr(vqc, "run_circuit_batch", counted_run)
+        monkeypatch.setattr(vqc, "output_states", counted_states)
         train_step(agent, buf, 16, MSE, optim.Adam(0.05), rng)
         assert forwards.count(True) == 1
 
@@ -234,7 +266,7 @@ class TestTrainStep:
         rng = np.random.default_rng(2)
         for step in range(1, 7):
             train_step(agent, buf, 16, MSE, opt, rng)
-            synced = np.array_equal(agent.target.params, agent.online.params)
+            synced = np.array_equal(agent.target_params, agent.online.params)
             assert synced == (step % 3 == 0)
 
 
@@ -245,6 +277,20 @@ class TestTraining:
         fresh = QrlAgent.for_env(config)
         assert metrics == []
         assert np.array_equal(agent.online.params, fresh.online.params)
+
+    def test_training_starts_at_batch_size(self, monkeypatch):
+        # warmup below batch_size: the first step waits for a full batch
+        config = QrlConfig(env="frozenlake", episodes=3, warmup=5,
+                           batch_size=12, seed=11)
+        filled = []
+        original = qrl.train_step
+
+        def counted(agent, buffer, *args):
+            filled.append(len(buffer))
+            return original(agent, buffer, *args)
+        monkeypatch.setattr(qrl, "train_step", counted)
+        run_training(config)
+        assert filled[0] == 12
 
     def test_training_is_deterministic(self):
         config = QrlConfig(env="frozenlake", episodes=8, warmup=20, seed=11)
@@ -379,6 +425,9 @@ class TestConfigValidation:
         ("epsilon_decay", 2.0),
         ("epsilon_decay", -1.0),
         ("epsilon_decay", 0.0),
+        ("gamma", 1.0),
+        ("epsilon_start", 0.01),  # below epsilon_end
+        ("target_sync_interval", 0),
     ])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -54,6 +54,15 @@ class TestExtractPatches:
         with pytest.raises(ValueError):
             extract_patches(np.ones((1, 4)), 2, 1)
 
+    @pytest.mark.parametrize("map2d, k, stride, named", [
+        (np.ones(4), 2, 1, "2D map"),
+        (np.ones((3, 3)), 0, 1, "patch size"),
+        (np.ones((3, 3)), 2, 0, "stride"),
+    ])
+    def test_bad_arguments_rejected(self, map2d, k, stride, named):
+        with pytest.raises(ValueError, match=named):
+            extract_patches(map2d, k, stride)
+
     @pytest.mark.parametrize("h,w,k,s", [(4, 4, 2, 1), (5, 7, 2, 2),
                                          (8, 8, 3, 2), (6, 4, 2, 3),
                                          (9, 9, 3, 3)])
@@ -77,6 +86,10 @@ class TestQuanvFilter:
         model = vqc.VqcModel(4, 1)
         with pytest.raises(ValueError):
             QuanvFilter(model, k=2, v_min=1.0, v_max=1.0)
+
+    def test_stride_validated(self):
+        with pytest.raises(ValueError, match="stride"):
+            QuanvFilter(vqc.VqcModel(4, 1), k=2, stride=0)
 
     def test_normalize_clips_to_unit_interval(self):
         filt = QuanvFilter(vqc.VqcModel(4, 1), k=2, v_min=0.0, v_max=2.0)
@@ -195,6 +208,23 @@ class TestIo:
         path = tmp_path / "map.csv"
         path.write_text(f"0.0,0.5\n1.0,{token}\n")
         with pytest.raises(ValueError, match="row 2, column 2"):
+            load_map_csv(str(path))
+
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        # later errors still cite the file's own row numbers
+        path = tmp_path / "map.csv"
+        path.write_text("0.0,0.5\n\n  \n1.0,0.25\n")
+        assert np.array_equal(load_map_csv(str(path)),
+                              [[0.0, 0.5], [1.0, 0.25]])
+        path.write_text("0.0,0.5\n\n1.0,oops\n")
+        with pytest.raises(ValueError, match="row 3, column 2"):
+            load_map_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_csv_empty_map_rejected(self, tmp_path, text):
+        path = tmp_path / "map.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty map"):
             load_map_csv(str(path))
 
     def test_csv_ragged_row_cited(self, tmp_path):

@@ -47,6 +47,15 @@ class TestStatePreparation:
         with pytest.raises(ValueError):
             basis_state(2, -1)
 
+    @pytest.mark.parametrize("num_qubits, amps, named", [
+        (1, [1, 0, 0], "expected 2 amplitudes"),
+        (1, [math.nan, 0], "finite"),
+        (0, [1], "num_qubits"),
+    ])
+    def test_statevector_checked(self, num_qubits, amps, named):
+        with pytest.raises(ValueError, match=named):
+            simcore.Statevector(num_qubits, np.array(amps))
+
 
 class TestGateMatrix:
     def test_cz_is_diagonal(self):
@@ -84,6 +93,10 @@ class TestGateMatrix:
             gate_matrix("X", 0.5)
         with pytest.raises(ValueError):
             gate_matrix("CNOT", 0.5)
+        with pytest.raises(ValueError, match="CZ takes no angle"):
+            gate_matrix("CZ", 0.1)
+        with pytest.raises(ValueError, match="unknown gate kind 'H'"):
+            gate_matrix("H")
 
 
 class TestGateOpValidation:
@@ -102,6 +115,12 @@ class TestGateOpValidation:
             GateOp("RY", (0,))
         with pytest.raises(ValueError):
             GateOp("Z", (0,), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            GateOp("RY", (0,), math.inf)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown gate kind 'H'"):
+            GateOp("H", (0,))
 
 
 class TestApplyGate:

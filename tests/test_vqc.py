@@ -263,6 +263,17 @@ class TestRunCircuitBatch:
         with pytest.raises(ValueError):
             vqc.run_circuit_batch(model, model.params, observations)
 
+    @pytest.mark.parametrize("shape", [(36,), (2, 36), (30,), (3, 24),
+                                       (1, 2, 24)])
+    @pytest.mark.parametrize("observations", [[0, 5], np.zeros((2, 4))])
+    def test_parameter_shape_checked(self, shape, observations):
+        # a 36-entry vector must not run as a 3-layer circuit
+        model = VqcModel(4, 2)
+        want = (r"expected parameters of shape \(24,\) or \(2, 24\), "
+                rf"got shape \({', '.join(map(str, shape))},?\)")
+        with pytest.raises(ValueError, match=want):
+            vqc.run_circuit_batch(model, np.zeros(shape), observations)
+
 
 class TestEnginePaths:
     """The cached-block path against the per-gate path and the dense
@@ -337,10 +348,12 @@ class TestEnginePaths:
             oracle = dense_oracle_z(agent.online, obs)
             assert np.max(np.abs(after - oracle)) <= 1e-12
             assert np.max(np.abs(forward(agent.online, obs) - after)) <= 1e-12
-            target = qrl._z_batch(agent.target, [obs])[0]
+            target = vqc.run_circuit_batch(agent.online, agent.target_params,
+                                           [obs])[0]
             assert np.max(np.abs(target - after)) > 1e-6
             agent.sync_target()
-            assert np.array_equal(qrl._z_batch(agent.target, [obs])[0], after)
+            assert np.array_equal(vqc.run_circuit_batch(
+                agent.online, agent.target_params, [obs])[0], after)
 
     def test_output_states_feed_readout_and_adjoint(self):
         rng = np.random.default_rng(64)
@@ -402,6 +415,19 @@ class TestGradients:
             assert parameter_shift_grad(model, x, np.ones(2)).shape == (0,)
             assert finite_diff_grad(model, x, np.ones(2)).shape == (0,)
 
+    @pytest.mark.parametrize("grad", [
+        lambda m, up: vqc.grad_batch(m, up[None], [3]),
+        lambda m, up: vqc.grad_batch(m, up[None], [3], parameter_shift=True),
+        lambda m, up: vqc.grad_batch(m, np.tile(up, (2, 1)), [3]),
+        lambda m, up: parameter_shift_grad(m, 3, up),
+        lambda m, up: finite_diff_grad(m, 3, up),
+    ], ids=["adjoint", "shift-batch", "rows", "parameter-shift",
+            "finite-diff"])
+    def test_upstream_shape_checked(self, grad):
+        model = VqcModel(4, 2)
+        with pytest.raises(ValueError, match=r"expected upstreams? of shape"):
+            grad(model, np.ones(3))
+
     def test_finite_diff_h_range(self):
         model = VqcModel(1, 1)
         with pytest.raises(ValueError):
@@ -447,7 +473,7 @@ class TestAdjointGradients:
                 observations = rng.normal(size=(n, u))
             adjoint = vqc.grad_batch(model, upstreams, observations)
             shifted = vqc.grad_batch(model, upstreams, observations,
-                                     shift=vqc.SHIFT)
+                                     parameter_shift=True)
             assert adjoint.shape == shifted.shape == (n, model.num_params)
             if adjoint.size:
                 worst = max(worst, float(np.max(np.abs(adjoint - shifted))))
@@ -501,6 +527,14 @@ class TestParams:
     def test_near_identity_initialization(self):
         model = VqcModel.random(3, 2, seed=0)
         assert np.max(np.abs(model.params)) < np.pi / 100
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: vqc.entangler_pairs(3, "star"), "star"),
+        (lambda: VqcModel.random(3, 2, seed=0, init_scale=-1.0), "init_scale"),
+    ])
+    def test_bad_argument_named(self, build, named):
+        with pytest.raises(ValueError, match=named):
+            build()
 
 
 class TestSerialization:
