@@ -312,28 +312,32 @@ def random_policy_baseline(env_kind: str, episodes: int,
 
 
 CHECKPOINT_KEYS = {**vqc.MODEL_KEYS, "action_scale": [0.0], "gamma": 0.0,
-                   "step": 0}
+                   "target_sync_interval": 0, "step": 0}
 
 
 def agent_to_json(agent: QrlAgent) -> str:
-    """Checkpoint: the model document plus scale/gamma/step."""
+    """Checkpoint: the model document plus scale/gamma/sync interval/step."""
     return json.dumps({**vqc.model_to_dict(agent.online),
                        "action_scale": agent.action_scale.tolist(),
-                       "gamma": agent.gamma, "step": agent.step})
+                       "gamma": agent.gamma,
+                       "target_sync_interval": agent.target_sync_interval,
+                       "step": agent.step})
 
 
 def agent_from_json(text: str) -> QrlAgent:
     model, doc = vqc.read_checkpoint(text, CHECKPOINT_KEYS)
     scale, gamma, step = doc["action_scale"], doc["gamma"], doc["step"]
+    interval = doc["target_sync_interval"]
     for key, ok, rule in (
             ("action_scale", 1 <= len(scale) <= model.num_qubits,
              f"have 1 to {model.num_qubits} entries, one per action"),
             ("gamma", 0 < gamma < 1, "lie in (0, 1)"),
+            ("target_sync_interval", interval >= 1, "be >= 1"),
             ("step", step >= 0, "be >= 0")):
         if not ok:
             raise vqc.ModelFormatError(
                 f"checkpoint {key} must {rule}, got {doc[key]}")
-    agent = QrlAgent(model, len(scale), gamma, QrlConfig.target_sync_interval)
+    agent = QrlAgent(model, len(scale), gamma, interval)
     agent.action_scale = np.array(scale, dtype=np.float64)
     agent.step = step
     agent.sync_target()

@@ -6,11 +6,16 @@ qubit 0 is the most significant bit of the amplitude index, so on two
 qubits index 2 (binary ``10``) means qubit 0 in |1> and qubit 1 in |0>.
 
 Gates are applied with index/stride arithmetic on the flat amplitude
-array, never as a 2^U x 2^U matrix.  (:mod:`vqlab.vqc` does hold dense
-per-layer blocks for circuits of at most ``vqc.BLOCK_MAX_QUBITS``
-qubits, but builds them by running these kernels on the identity.)  A
-dense matrix-vector oracle (:func:`dense_apply_oracle`) exists purely
-for cross-checking the fast path in tests.
+array.  A circuit layer is two kernel calls: its CNOTs as one composed
+permutation (:func:`apply_cnot_batch`), and its rotations on every wire
+(:func:`apply_rotation_batch`) as one matmul per group of
+:data:`ROTATION_GROUP` adjacent wires, by the Kronecker product of their
+2x2 matrices: at most 16x16, and so the whole 2^U x 2^U layer for
+U <= 4.  (:mod:`vqlab.vqc` also holds dense per-layer blocks for
+circuits of at most ``vqc.BLOCK_MAX_QUBITS`` qubits, built by running
+these kernels on the identity.)  A dense matrix-vector oracle
+(:func:`dense_apply_oracle`) exists purely for cross-checking the fast
+path in tests.
 """
 
 from __future__ import annotations
@@ -158,7 +163,8 @@ def gate_matrix(kind: str, angle: Optional[float] = None) -> np.ndarray:
 # public single-state API and the vectorized circuit engine.  Index and bit
 # tables are built on first use per (U, wires) and cached read-only.
 
-GATHER_MAX_AMPS = 2 ** 13
+# adjacent wires per dense block (2^4 x 2^4) of the every-wire rotation
+ROTATION_GROUP = 4
 
 
 def _wire_mask(num_qubits: int, wire: int) -> int:
@@ -214,9 +220,21 @@ def apply_z_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
     return z_signs(num_qubits, (wire,))[0] * amps
 
 
-def apply_cnot_batch(amps: np.ndarray, num_qubits: int,
-                     control: int, target: int) -> np.ndarray:
-    return amps.take(_flip_index(num_qubits, target, control), axis=-1)
+def apply_cnot_batch(amps: np.ndarray, num_qubits: int, pairs) -> np.ndarray:
+    """CNOT on each (control, target) of ``pairs`` in order, applied as one
+    gather through their composed permutation."""
+    return amps.take(_cnot_index(num_qubits, tuple(map(tuple, pairs))),
+                     axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _cnot_index(num_qubits: int, pairs: tuple) -> np.ndarray:
+    """Gather index of the CNOTs ``pairs`` applied in order."""
+    index = np.arange(2 ** num_qubits)
+    for control, target in pairs:
+        index = index[_flip_index(num_qubits, target, control)]
+    index.setflags(write=False)
+    return index
 
 
 def apply_cz_batch(amps: np.ndarray, num_qubits: int,
@@ -227,40 +245,54 @@ def apply_cz_batch(amps: np.ndarray, num_qubits: int,
 
 # (A, B) of each rotation from the cosine and sine of its half angle
 _SU2_OF = {"RX": lambda c, s: (c, -1j * s), "RY": lambda c, s: (c, -s),
-           "RZ": lambda c, s: (c - 1j * s, 0.0)}
+           "RZ": lambda c, s: (c - 1j * s, 0 * s)}
 
 
-def apply_rotation_batch(amps: np.ndarray, num_qubits: int, wire: int,
+def apply_rotation_batch(amps: np.ndarray, num_qubits: int, wire,
                          kind, theta) -> np.ndarray:
-    """RX/RY/RZ on one wire, or a tuple of them applied in order.
+    """RX/RY/RZ, or a tuple of them applied in order, on one wire or, with
+    ``wire`` the sequence range(U), on every wire.
 
-    One kind takes ``theta`` scalar (shared by every row) or shape (B,); a
-    tuple of k kinds takes shape (k,) (shared) or (B, k).  The rotations
-    are composed into one R = [[a, b], [-conj(b), conj(a)]], applied in one
-    pass: on the bit-flipped gather for arrays of at most GATHER_MAX_AMPS
-    amplitudes, where it is faster, else on the wire's strided half-views.
+    On one wire, one kind takes ``theta`` scalar (shared by every row) or
+    shape (B,), and a tuple of k kinds shape (k,) (shared) or (B, k).  On
+    every wire the angles gain a last axis of U: (U,) or (B, U) for one
+    kind, (k, U) or (B, k, U) for k kinds.  Each wire's rotations are
+    composed into one R = [[a, b], [-conj(b), conj(a)]].  On one wire R is
+    applied in one pass over the wire's strided half-views; on every wire,
+    each group of ROTATION_GROUP adjacent wires applies the Kronecker
+    product of its R as one matmul.
     """
     theta = np.asarray(theta, dtype=np.float64)
+    one = isinstance(wire, (int, np.integer))
+    if one:
+        theta = theta[..., None]
+    elif tuple(wire) != tuple(range(num_qubits)):
+        raise ValueError(f"rotations take one wire or every wire in order, "
+                         f"got {tuple(wire)}")
     if isinstance(kind, str):
-        kind, theta = (kind,), theta[..., None]
+        kind, theta = (kind,), theta[..., None, :]
     if (not set(kind) <= set(ROTATION_KINDS)
-            or theta.shape[-1:] != (len(kind),)):
+            or theta.shape[-2:] != (len(kind), 1 if one else num_qubits)):
         raise ValueError(f"rotation kinds {kind!r} need one angle each per "
-                         f"row, got angles of shape {theta.shape}")
-    # shared angles compose in Python complex numbers, per-row ones in arrays
-    shared = theta.ndim == 1
-    cos, sin = (math.cos, math.sin) if shared else (np.cos, np.sin)
-    a, b = 1.0, 0.0
-    for k, t in zip(kind, theta.tolist() if shared
-                    else np.moveaxis(theta, -1, 0)):
-        ka, kb = _SU2_OF[k](cos(t / 2), sin(t / 2))
-        a, b = ka * a - kb * b.conjugate(), ka * b + kb * a.conjugate()
-    if amps.size <= GATHER_MAX_AMPS:
-        diag, off = np.where(
-            _bit_table(num_qubits, (wire,))[0],
-            np.array([a.conjugate(), -b.conjugate()])[..., None],
-            np.array([a, b])[..., None])
-        return diag * amps + off * apply_x_batch(amps, num_qubits, wire)
+                         f"row and wire, got angles of shape {theta.shape}")
+    # angles as (k, wires, B...): a and b come out as (wires, B...), so R
+    # below holds the rows on its last axis, along which the Kronecker
+    # products of _rotate_all run
+    rows = tuple(range(theta.ndim - 2))
+    half = theta.transpose((len(rows), len(rows) + 1) + rows) / 2
+    cos, sin = np.cos(half), np.sin(half)
+    a, b = _SU2_OF[kind[0]](cos[0], sin[0])
+    for k, c, s in zip(kind[1:], cos[1:], sin[1:]):
+        ka, kb = _SU2_OF[k](c, s)
+        a, b = ka * a - kb * np.conj(b), ka * b + kb * np.conj(a)
+    if one:
+        return _rotate_wire(amps, num_qubits, wire, a[0], b[0])
+    return _rotate_all(amps, num_qubits,
+                       np.array([[a, b], [-np.conj(b), np.conj(a)]]))
+
+
+def _rotate_wire(amps: np.ndarray, num_qubits: int, wire: int,
+                 a, b) -> np.ndarray:
     shape = amps.shape[:-1] + (2 ** wire, 2, 2 ** (num_qubits - 1 - wire))
     view = amps.reshape(shape)
     a, b = (np.asarray(v)[..., None, None] for v in (a, b))
@@ -271,6 +303,31 @@ def apply_rotation_batch(amps: np.ndarray, num_qubits: int, wire: int,
     np.multiply(view[..., 1, :], a.conjugate(), out=hi)
     hi -= b.conjugate() * view[..., 0, :]
     return out.reshape(amps.shape)
+
+
+def _rotate_all(amps: np.ndarray, num_qubits: int,
+                rs: np.ndarray) -> np.ndarray:
+    """Every wire's R, from (2, 2, U, B...) ``rs``, one group of adjacent
+    wires per matmul.
+
+    The group's wires are always the most significant ones: the matmul
+    moves them to the least significant end, which brings the next group
+    to the top and, after the last group, every wire back to its place.
+    """
+    lead, dim = amps.shape[:-1], 2 ** num_qubits
+    for start in range(0, num_qubits, ROTATION_GROUP):
+        block = rs[:, :, start]
+        for w in range(start + 1, min(start + ROTATION_GROUP, num_qubits)):
+            size = 2 * len(block)
+            block = block[:, None, :, None] * rs[None, :, None, :, w]
+            block = block.reshape((size, size) + block.shape[4:])
+        # (B..., size, size) and contiguous, which the matmul needs to
+        # reach BLAS for per-row blocks
+        transposed = np.ascontiguousarray(
+            block.transpose(tuple(range(2, block.ndim)) + (1, 0)))
+        view = amps.reshape(lead + (len(block), dim // len(block)))
+        amps = (view.swapaxes(-1, -2) @ transposed).reshape(lead + (dim,))
+    return amps
 
 
 def expect_z_batch(amps: np.ndarray, num_qubits: int, wire) -> np.ndarray:
@@ -295,7 +352,7 @@ def apply_gate(state: Statevector, gate: GateOp) -> Statevector:
     elif gate.kind == "Z":
         new = apply_z_batch(amps, u, gate.wires[0])
     elif gate.kind == "CNOT":
-        new = apply_cnot_batch(amps, u, gate.wires[0], gate.wires[1])
+        new = apply_cnot_batch(amps, u, [gate.wires])
     elif gate.kind == "CZ":
         new = apply_cz_batch(amps, u, gate.wires[0], gate.wires[1])
     else:

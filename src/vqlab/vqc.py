@@ -18,6 +18,9 @@ alongside both for verification.
 Evaluation is vectorized and runs layer by layer: a batch of circuits is
 one (B, 2^U) amplitude array, and :func:`layer_view` reads the flat
 parameters, shared by every row or one vector per row, as layer angles.
+The per-gate path applies each layer as two simcore kernel calls, its
+entangler CNOTs and then its rotations on every wire, and un-applies it
+with the inverse rotations and the CNOTs in reverse order.
 
 Small circuits take the block path.  With one shared parameter vector
 and at most :data:`BLOCK_MAX_QUBITS` qubits, each layer is one dense
@@ -26,9 +29,9 @@ kernels on the identity and cached per parameter vector (the key is the
 parameter values, so nothing goes stale).  A forward pass is then one
 matmul by the blocks' product, or for basis inputs a row lookup in a
 cached Z table, and the adjoint un-applies each layer with one matmul.
-Per-row parameter batches and larger circuits run gate by gate.  The
-threshold is measured: at L=2 and 32 rows, block build plus forward and
-adjoint beats the per-gate path up to U=6 and loses from U=7.
+Per-row parameter batches and larger circuits take the per-gate path.
+The threshold is measured: at L=2 and 32 rows, block build plus forward
+and adjoint beats the per-gate path up to U=5 and loses from U=6.
 
 Configs and checkpoints share one JSON checker, :func:`parse_document`;
 a checkpoint has exactly the keys of :data:`MODEL_KEYS` or its extension.
@@ -55,7 +58,7 @@ SHIFT = math.pi / 2
 MAX_PARAMS = 2 ** simcore.DEFAULT_QUBIT_CAP
 # shared-parameter circuits up to this many qubits run as cached per-layer
 # blocks; their depth * 4^U block entries (16 bytes each) are capped too
-BLOCK_MAX_QUBITS = 6
+BLOCK_MAX_QUBITS = 5
 BLOCK_MAX_AMPS = 2 ** 20
 
 
@@ -202,30 +205,26 @@ def layer_view(params: np.ndarray, num_qubits: int) -> np.ndarray:
 
 def _apply_layers(amps: np.ndarray, num_qubits: int, pairs: list,
                   angles: np.ndarray) -> np.ndarray:
-    """Layers in order, gate by gate through the simcore kernels: each
-    layer's entangler CNOTs ``pairs``, then one fused RX-RY-RZ per wire.
+    """Layers in order, two simcore kernel calls each: the entangler CNOTs
+    ``pairs`` as one permutation, then one fused RX-RY-RZ on every wire.
     ``angles`` is a :func:`layer_view`, (L, 3, U) shared by every row or
     (B, L, 3, U) with one per row."""
     for layer in range(angles.shape[-3]):
-        for pair in pairs:
-            amps = simcore.apply_cnot_batch(amps, num_qubits, *pair)
-        for wire in range(num_qubits):
-            amps = simcore.apply_rotation_batch(
-                amps, num_qubits, wire, ("RX", "RY", "RZ"),
-                angles[..., layer, :, wire])
+        amps = simcore.apply_cnot_batch(amps, num_qubits, pairs)
+        amps = simcore.apply_rotation_batch(
+            amps, num_qubits, range(num_qubits), ("RX", "RY", "RZ"),
+            angles[..., layer, :, :])
     return amps
 
 
 def _unapply_layer(amps: np.ndarray, num_qubits: int, pairs: list,
                    angles: np.ndarray) -> np.ndarray:
     """Undo one layer of :func:`_apply_layers` at its shared (3, U)
-    ``angles``: each gate's inverse, last gate first."""
-    for wire in reversed(range(num_qubits)):
-        amps = simcore.apply_rotation_batch(
-            amps, num_qubits, wire, ("RZ", "RY", "RX"), -angles[::-1, wire])
-    for pair in reversed(pairs):
-        amps = simcore.apply_cnot_batch(amps, num_qubits, *pair)
-    return amps
+    ``angles``: the inverse rotations, then the CNOTs in reverse order."""
+    amps = simcore.apply_rotation_batch(
+        amps, num_qubits, range(num_qubits), ("RZ", "RY", "RX"),
+        -angles[::-1])
+    return simcore.apply_cnot_batch(amps, num_qubits, pairs[::-1])
 
 
 @functools.lru_cache(maxsize=4)
@@ -269,9 +268,12 @@ def _observations(model: VqcModel, observations) -> np.ndarray:
 
     Shape (B,) holds basis-state indices, which must be integers in
     [0, 2^U).  Shape (B, U) holds real vectors for the angle encoding.
+    An empty list is a batch of no basis indices.
     """
     u = model.num_qubits
     obs = np.asarray(observations)
+    if obs.shape == (0,):
+        obs = obs.astype(np.int64)
     if obs.ndim == 1:
         if obs.dtype.kind not in "iu" or np.any((obs < 0) | (obs >= 2 ** u)):
             raise ValueError(

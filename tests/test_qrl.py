@@ -348,12 +348,19 @@ class TestCheckpoint:
         assert restored.gamma == agent.gamma
         assert restored.step == 123
 
+    def test_round_trip_keeps_target_sync_interval(self):
+        agent = QrlAgent.for_env(QrlConfig(target_sync_interval=3))
+        restored = agent_from_json(agent_to_json(agent))
+        assert restored.target_sync_interval == 3
+
     def test_embeds_model_schema(self):
         doc = json.loads(agent_to_json(frozenlake_agent()))
         assert doc["schema"] == "vqc-v1"
-        assert {"action_scale", "gamma", "step"} <= set(doc)
+        assert {"action_scale", "gamma", "target_sync_interval",
+                "step"} <= set(doc)
 
-    @pytest.mark.parametrize("key", ["action_scale", "gamma", "step"])
+    @pytest.mark.parametrize("key", ["action_scale", "gamma", "step",
+                                     "target_sync_interval"])
     def test_missing_key_named(self, key):
         doc = json.loads(agent_to_json(frozenlake_agent()))
         del doc[key]
@@ -377,6 +384,8 @@ class TestCheckpoint:
         ("params", [True] * 24),
         ("encoding", {"nonlinearity": "sigmoid", "scale": float("nan")}),
         ("encoding", {"nonlinearity": "sigmoid", "scale": float("inf")}),
+        ("target_sync_interval", 0),
+        ("target_sync_interval", 2.5),
     ])
     def test_bad_value_named(self, key, value):
         doc = json.loads(agent_to_json(frozenlake_agent()))

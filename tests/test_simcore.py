@@ -293,11 +293,10 @@ def _random_amps(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-@pytest.fixture(params=["gather", "strided"])
-def kernel_form(request, monkeypatch):
-    """Runs a test under each of apply_rotation_batch's two forms."""
-    if request.param == "strided":
-        monkeypatch.setattr(simcore, "GATHER_MAX_AMPS", 0)
+@pytest.fixture(params=["strided"])
+def kernel_form(request):
+    """The form of apply_rotation_batch on one wire: its only one, on the
+    wire's strided half-views."""
     return request.param
 
 
@@ -372,6 +371,135 @@ class TestFusedRotation:
             simcore.apply_rotation_batch(amps, 2, 0, ("RX", "X"), [0.1, 0.2])
 
 
+def _dense_apply(gates, num_qubits, amps):
+    """Gates applied in order to each row of ``amps`` through embed_gate."""
+    for gate in gates:
+        amps = amps @ embed_gate(gate, num_qubits).T
+    return amps
+
+
+class TestLayerKernels:
+    """The composed-pairs CNOT call and the every-wire rotation call
+    against sequential single-gate calls and the dense oracle, to 1e-12."""
+
+    KINDS = ("RX", "RY", "RZ")
+
+    @pytest.mark.parametrize("num_qubits", range(1, 11))
+    def test_cnot_pairs(self, num_qubits):
+        u = num_qubits
+        rng = np.random.default_rng(70 + u)
+        amps = _random_amps(rng, (2, 2 ** u))
+        for ring in (False, True):
+            pairs = [(w, w + 1) for w in range(u - 1)]
+            if ring and u >= 2:
+                pairs.append((u - 1, 0))
+            got = simcore.apply_cnot_batch(amps, u, pairs)
+            seq = amps
+            for pair in pairs:
+                seq = simcore.apply_cnot_batch(seq, u, [pair])
+            assert np.array_equal(got, seq)
+            dense = _dense_apply([GateOp("CNOT", p) for p in pairs], u, amps)
+            assert np.max(np.abs(got - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits", range(1, 11))
+    def test_rotations_on_every_wire(self, num_qubits):
+        u = num_qubits
+        rng = np.random.default_rng(80 + u)
+        batch = 2
+        amps = _random_amps(rng, (batch, 2 ** u))
+        shared = rng.uniform(-2 * np.pi, 2 * np.pi, (3, u))
+        rows = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, 3, u))
+        for theta in (shared, rows):
+            got = simcore.apply_rotation_batch(amps, u, range(u), self.KINDS,
+                                               theta)
+            seq = amps
+            for wire in range(u):
+                seq = simcore.apply_rotation_batch(seq, u, wire, self.KINDS,
+                                                   theta[..., wire])
+            assert np.max(np.abs(got - seq)) <= 1e-12
+            angles = np.broadcast_to(theta, (batch, 3, u))
+            for b in range(batch):
+                gates = [GateOp(kind, (w,), float(angles[b, k, w]))
+                         for w in range(u)
+                         for k, kind in enumerate(self.KINDS)]
+                dense = _dense_apply(gates, u, amps[b])
+                assert np.max(np.abs(got[b] - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits", [1, 3, 4, 6])
+    def test_one_kind_on_every_wire(self, num_qubits):
+        u = num_qubits
+        rng = np.random.default_rng(90 + u)
+        amps = _random_amps(rng, (3, 2 ** u))
+        for kind in ROTATION_KINDS:
+            for theta in (rng.uniform(-np.pi, np.pi, u),
+                          rng.uniform(-np.pi, np.pi, (3, u))):
+                got = simcore.apply_rotation_batch(amps, u, range(u), kind,
+                                                   theta)
+                want = simcore.apply_rotation_batch(amps, u, range(u), (kind,),
+                                                    theta[..., None, :])
+                assert np.array_equal(got, want)
+                seq = amps
+                for wire in range(u):
+                    seq = simcore.apply_rotation_batch(seq, u, wire, kind,
+                                                       theta[..., wire])
+                assert np.max(np.abs(got - seq)) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits", [3, 5])
+    def test_pair_shaped_input(self, num_qubits):
+        # (2, n, 2^U): the adjoint pass's stacked psi and lambda
+        u = num_qubits
+        rng = np.random.default_rng(100 + u)
+        pair = _random_amps(rng, (2, 4, 2 ** u))
+        kinds = ("RZ", "RY", "RX")
+        for theta in (rng.uniform(-np.pi, np.pi, (3, u)),
+                      rng.uniform(-np.pi, np.pi, (4, 3, u))):
+            got = simcore.apply_rotation_batch(pair, u, range(u), kinds, theta)
+            for half in range(2):
+                want = simcore.apply_rotation_batch(pair[half], u, range(u),
+                                                    kinds, theta)
+                assert np.max(np.abs(got[half] - want)) <= 1e-12
+        pairs = [(w, (w + 1) % u) for w in range(u)]
+        got = simcore.apply_cnot_batch(pair, u, pairs)
+        for half in range(2):
+            want = simcore.apply_cnot_batch(pair[half], u, pairs)
+            assert np.array_equal(got[half], want)
+
+    @pytest.mark.parametrize("num_qubits", [4, 12])
+    def test_repeated_calls_are_bit_identical(self, num_qubits):
+        u = num_qubits
+        rng = np.random.default_rng(110 + u)
+        amps = _random_amps(rng, (16, 2 ** u))
+        for theta in (rng.uniform(-np.pi, np.pi, (3, u)),
+                      rng.uniform(-np.pi, np.pi, (16, 3, u))):
+            first = simcore.apply_rotation_batch(amps, u, range(u), self.KINDS,
+                                                 theta)
+            for _ in range(3):
+                again = simcore.apply_rotation_batch(amps, u, range(u),
+                                                     self.KINDS, theta)
+                assert np.array_equal(first, again)
+
+    def test_empty_batch(self):
+        for u in (1, 4, 5):
+            amps = np.zeros((0, 2 ** u), complex)
+            for theta in (np.zeros((3, u)), np.zeros((0, 3, u))):
+                got = simcore.apply_rotation_batch(amps, u, range(u),
+                                                   self.KINDS, theta)
+                assert got.shape == (0, 2 ** u)
+            pairs = [(w, (w + 1) % u) for w in range(u - 1)]
+            assert simcore.apply_cnot_batch(amps, u, pairs).shape == amps.shape
+
+    def test_wires_and_angles_checked(self):
+        amps = zero_state(3).amps[None, :]
+        for wires in ([1, 0, 2], range(2), range(4)):
+            with pytest.raises(ValueError, match="every wire"):
+                simcore.apply_rotation_batch(amps, 3, wires, "RX", np.zeros(3))
+        for theta in (np.zeros(3), np.zeros((3, 3)), np.zeros((2, 2)),
+                      np.zeros((4, 3, 3))):
+            with pytest.raises(ValueError, match="angles of shape"):
+                simcore.apply_rotation_batch(amps, 3, range(3), ("RX", "RY"),
+                                             theta)
+
+
 class TestExpectZSequence:
     def test_matches_per_wire_calls(self):
         rng = np.random.default_rng(52)
@@ -397,7 +525,8 @@ class TestKernelsLeaveInputsAlone:
             lambda a: simcore.apply_x_batch(a, 3, 1),
             lambda a: simcore.apply_y_batch(a, 3, 1),
             lambda a: simcore.apply_z_batch(a, 3, 1),
-            lambda a: simcore.apply_cnot_batch(a, 3, 0, 2),
+            lambda a: simcore.apply_cnot_batch(a, 3, [(0, 2)]),
+            lambda a: simcore.apply_cnot_batch(a, 3, [(0, 1), (2, 0)]),
             lambda a: simcore.apply_cz_batch(a, 3, 2, 0),
             lambda a: simcore.apply_rotation_batch(a, 3, 1, "RX", 0.4),
             lambda a: simcore.apply_rotation_batch(a, 3, 1, "RY", rows[:, 0]),
@@ -405,6 +534,12 @@ class TestKernelsLeaveInputsAlone:
                                                    rows[0]),
             lambda a: simcore.apply_rotation_batch(a, 3, 0, ("RZ", "RX"),
                                                    rows[:, :2]),
+            lambda a: simcore.apply_rotation_batch(a, 3, range(3), "RY",
+                                                   rows[0]),
+            lambda a: simcore.apply_rotation_batch(a, 3, range(3),
+                                                   ("RX", "RY", "RZ"), rows),
+            lambda a: simcore.apply_rotation_batch(
+                a, 3, range(3), ("RZ", "RX"), np.stack([rows[:2]] * 3)),
             lambda a: simcore.expect_z_batch(a, 3, 1),
             lambda a: simcore.expect_z_batch(a, 3, [2, 0]),
         ]
@@ -422,9 +557,13 @@ class TestKernelsLeaveInputsAlone:
             assert np.array_equal(call(amps), call(before))
         for table in (simcore._flip_index(3, 1), simcore._flip_index(3, 2, 0),
                       simcore._bit_table(3, (1,)),
-                      simcore._bit_table(3, (2, 0))):
+                      simcore._bit_table(3, (2, 0)),
+                      simcore._cnot_index(3, ((0, 1), (2, 0)))):
             assert not table.flags.writeable
         idx = np.arange(8)
+        assert np.array_equal(simcore._cnot_index(3, ((0, 1), (2, 0))),
+                              simcore._flip_index(3, 1, 0)[
+                                  simcore._flip_index(3, 0, 2)])
         assert np.array_equal(simcore._flip_index(3, 1), idx ^ 2)
         assert np.array_equal(simcore._flip_index(3, 2, 0),
                               np.where(idx & 4, idx ^ 1, idx))

@@ -12,14 +12,11 @@ from vqlab.vqc import (EncodingSpec, ModelFormatError, VqcModel,
 SIGMOID = EncodingSpec("sigmoid")
 
 
-@pytest.fixture(params=["blocks", "per-gate", "per-gate, strided"])
+@pytest.fixture(params=["blocks", "per-gate"])
 def engine_path(request, monkeypatch):
-    """Runs a test on the cached-block path and on the per-gate path, the
-    latter with each form of the rotation kernel."""
+    """Runs a test on the cached-block path and on the per-gate path."""
     monkeypatch.setattr(vqc, "BLOCK_MAX_QUBITS", simcore.DEFAULT_QUBIT_CAP
                         if request.param == "blocks" else 0)
-    if request.param == "per-gate, strided":
-        monkeypatch.setattr(simcore, "GATHER_MAX_AMPS", 0)
     return request.param
 
 
@@ -263,6 +260,18 @@ class TestRunCircuitBatch:
         with pytest.raises(ValueError):
             vqc.run_circuit_batch(model, model.params, observations)
 
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 4))])
+    def test_empty_batch(self, empty, engine_path):
+        model = VqcModel.random(4, 2, seed=63)
+        n = model.num_params
+        assert vqc.output_states(model, empty).shape == (0, 16)
+        for thetas in (model.params, np.zeros((0, n))):
+            assert vqc.run_circuit_batch(model, thetas, empty).shape == (0, 4)
+        for shift in (False, True):
+            grads = vqc.grad_batch(model, np.zeros((0, 4)), empty,
+                                   parameter_shift=shift)
+            assert grads.shape == (0, n)
+
     @pytest.mark.parametrize("shape", [(36,), (2, 36), (30,), (3, 24),
                                        (1, 2, 24)])
     @pytest.mark.parametrize("observations", [[0, 5], np.zeros((2, 4))])
@@ -311,20 +320,22 @@ class TestEnginePaths:
         vqc._circuit_blocks.cache_clear()
         model = VqcModel.random(4, 2, seed=61, entangler="ring")
         vqc.run_circuit_batch(model, model.params, [0, 5])
-        # per layer: 4 ring CNOTs and one fused rotation per wire
-        assert calls == {"apply_rotation_batch": 8, "apply_cnot_batch": 8}
+        # per layer: one call for the 4 ring CNOTs, one for every rotation
+        assert calls == {"apply_rotation_batch": 2, "apply_cnot_batch": 2}
         vqc.run_circuit_batch(model, model.params, [3])
         vqc.grad_batch(model, np.ones((1, 4)), [3])
-        assert calls == {"apply_rotation_batch": 8, "apply_cnot_batch": 8}
+        assert calls == {"apply_rotation_batch": 2, "apply_cnot_batch": 2}
 
     def test_block_path_bounds(self):
-        theta = np.zeros(3 * 6 * 2)
-        assert vqc._blocks(VqcModel(6, 2), theta) is not None
-        assert vqc._blocks(VqcModel(6, 2), np.tile(theta, (3, 1))) is None
-        assert vqc._blocks(VqcModel(vqc.BLOCK_MAX_QUBITS + 1, 1),
-                           np.zeros(3 * (vqc.BLOCK_MAX_QUBITS + 1))) is None
-        # 300 layers of 4^6 entries pass BLOCK_MAX_AMPS
-        assert vqc._blocks(VqcModel(6, 300), np.zeros(3 * 6 * 300)) is None
+        u = vqc.BLOCK_MAX_QUBITS
+        theta = np.zeros(3 * u * 2)
+        assert vqc._blocks(VqcModel(u, 2), theta) is not None
+        assert vqc._blocks(VqcModel(u, 2), np.tile(theta, (3, 1))) is None
+        assert vqc._blocks(VqcModel(u + 1, 1), np.zeros(3 * (u + 1))) is None
+        # one layer more than BLOCK_MAX_AMPS holds of 4^U entries each
+        depth = vqc.BLOCK_MAX_AMPS // 4 ** u + 1
+        assert vqc._blocks(VqcModel(u, depth),
+                           np.zeros(3 * u * depth)) is None
 
     def test_cached_arrays_refuse_writes(self):
         model = VqcModel.random(3, 2, seed=62)
