@@ -12,8 +12,8 @@ and one reverse sweep over the layers, whatever the parameter count.  The
 parameter-shift rule, exact at its one shift :data:`SHIFT` = pi/2 and
 what hardware can run, is ``grad_batch(..., parameter_shift=True)``; it
 backs :func:`parameter_shift_grad`, ``vqlab grad-check`` and acceptance
-criterion 3; a central finite difference oracle is kept
-alongside both for verification.
+criterion 3; a central finite difference oracle is kept alongside both
+for verification.  Both shift rules run one per-row batch per layer.
 
 Evaluation is vectorized and runs layer by layer: a batch of circuits is
 one (B, 2^U) amplitude array, and :func:`layer_view` reads the flat
@@ -32,6 +32,11 @@ cached Z table, and the adjoint un-applies each layer with one matmul.
 Per-row parameter batches and larger circuits take the per-gate path.
 The threshold is measured: at L=2 and 32 rows, block build plus forward
 and adjoint beats the per-gate path up to U=5 and loses from U=6.
+
+A per-row batch encodes each distinct observation once and runs a layer
+whose angles are equal in every row in the shared-angle kernel form, so
+a shift rule's batch for layer l runs the layers before l once per
+observation and those after l in the shared form.
 
 Configs and checkpoints share one JSON checker, :func:`parse_document`;
 a checkpoint has exactly the keys of :data:`MODEL_KEYS` or its extension.
@@ -204,17 +209,24 @@ def layer_view(params: np.ndarray, num_qubits: int) -> np.ndarray:
 
 
 def _apply_layers(amps: np.ndarray, num_qubits: int, pairs: list,
-                  angles: np.ndarray) -> np.ndarray:
+                  angles: np.ndarray, rows=None) -> np.ndarray:
     """Layers in order, two simcore kernel calls each: the entangler CNOTs
     ``pairs`` as one permutation, then one fused RX-RY-RZ on every wire.
     ``angles`` is a :func:`layer_view`, (L, 3, U) shared by every row or
-    (B, L, 3, U) with one per row."""
+    (B, L, 3, U) with one per row.  A layer whose per-row angles are equal
+    in every row runs in the shared form.  With ``rows``, batch row b is
+    ``amps`` row rows[b] up to the first layer whose angles differ
+    between rows; the batch expands there, after the layer's CNOTs."""
     for layer in range(angles.shape[-3]):
         amps = simcore.apply_cnot_batch(amps, num_qubits, pairs)
+        here = angles[..., layer, :, :]
+        if here.ndim == 3 and len(here) and np.all(here == here[0]):
+            here = here[0]
+        elif rows is not None:
+            amps, rows = amps[rows], None
         amps = simcore.apply_rotation_batch(
-            amps, num_qubits, range(num_qubits), ("RX", "RY", "RZ"),
-            angles[..., layer, :, :])
-    return amps
+            amps, num_qubits, range(num_qubits), ("RX", "RY", "RZ"), here)
+    return amps if rows is None else amps[rows]
 
 
 def _unapply_layer(amps: np.ndarray, num_qubits: int, pairs: list,
@@ -317,10 +329,12 @@ def _output_states(model: VqcModel, thetas: np.ndarray, obs: np.ndarray,
                    blocks: Optional[tuple]) -> np.ndarray:
     """(B, 2^U) states after the circuit, for B checked observations."""
     if blocks is None:
-        u = model.num_qubits
+        u, rows = model.num_qubits, None
+        if thetas.ndim == 2:  # per-row: encode each distinct observation once
+            obs, rows = np.unique(obs, axis=0, return_inverse=True)
         return _apply_layers(_input_states(model, obs), u,
                              entangler_pairs(u, model.entangler),
-                             layer_view(thetas, u))
+                             layer_view(thetas, u), rows)
     _, product, _ = blocks
     if obs.ndim == 1:
         return product[obs]
@@ -354,7 +368,9 @@ def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
     input state and so the batch size.  ``thetas``, any parameters of
     ``model``'s shape, is the flat (3UL,) vector that every row shares, or
     (B, 3UL); another shape is rejected.  Basis inputs on the block path
-    read rows of the cached Z table.
+    read rows of the cached Z table.  A (B, 3UL) batch encodes each
+    distinct observation once and runs a layer that every row shares in
+    the shared-angle form.
     """
     obs = _observations(model, observations)
     n = model.num_params
@@ -387,27 +403,35 @@ def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
     default this is the adjoint method that training uses: n forward rows
     and one reverse sweep; ``psi``, the observations' :func:`output_states`,
     replaces its forward pass.  ``parameter_shift`` runs the
-    parameter-shift rule at :data:`SHIFT` instead, all 2 * 3UL * n shifted
-    circuits as a single batch; that is the path of
-    :func:`parameter_shift_grad`.
+    parameter-shift rule at :data:`SHIFT` instead, the 2 * 3UL * n shifted
+    circuits as one batch per layer (:func:`_shifted_differences`); that
+    is the path of :func:`parameter_shift_grad`, and it takes no ``psi``.
     """
-    n, n_params = len(observations), model.num_params
+    n = len(observations)
     upstreams = _checked("upstreams", upstreams, [(n, model.num_qubits)])
     if not parameter_shift:
         return _adjoint_grad(model, upstreams, observations, psi)
-    theta = model.params
-    # rows: input-major, then parameter, then (+, -) shift
-    thetas = np.tile(theta, (n * n_params * 2, 1))
-    k = np.arange(n_params)
-    block = np.zeros((n_params * 2, n_params))
-    block[2 * k, k] = SHIFT
-    block[2 * k + 1, k] = -SHIFT
-    thetas += np.tile(block, (n, 1))
-    z = run_circuit_batch(model, thetas, np.repeat(
-        np.asarray(observations), n_params * 2, axis=0))
-    z = z.reshape(n, n_params, 2, model.num_qubits)
-    df = (z[:, :, 0, :] - z[:, :, 1, :]) / 2.0
+    if psi is not None:
+        raise ValueError("psi is the adjoint's; parameter_shift takes none")
+    df = _shifted_differences(model, observations, SHIFT) / 2.0
     return np.einsum("npw,nw->np", df, upstreams)
+
+
+def _shifted_differences(model: VqcModel, observations,
+                         shift: float) -> np.ndarray:
+    """z(theta + shift e_p) - z(theta - shift e_p), shape (n, 3UL, U), for
+    n observations: one :func:`run_circuit_batch` call per layer."""
+    theta, u, n = model.params, model.num_qubits, len(observations)
+    diffs, k = np.empty((n, theta.size, u)), np.arange(3 * u)
+    for start in range(0, theta.size, k.size):
+        # rows: input-major, then the layer's parameter, then (+, -) shift
+        thetas = np.tile(theta, (2 * k.size, 1))
+        thetas[2 * k, start + k] += shift
+        thetas[2 * k + 1, start + k] -= shift
+        z = run_circuit_batch(model, np.tile(thetas, (n, 1)),
+                              np.repeat(observations, 2 * k.size, axis=0))
+        diffs[:, start + k] = (z[0::2] - z[1::2]).reshape(n, k.size, u)
+    return diffs
 
 
 def _adjoint_grad(model: VqcModel, upstreams: np.ndarray, observations,
@@ -482,16 +506,7 @@ def finite_diff_grad(model: VqcModel, x, upstream: np.ndarray,
     if not 1e-6 <= h <= 1e-2:
         raise ValueError(f"h must be in [1e-6, 1e-2], got {h}")
     upstream = _checked("upstream", upstream, [(model.num_qubits,)])
-    n_params = model.num_params
-    theta = model.params
-    thetas = np.tile(theta, (n_params * 2, 1))
-    k = np.arange(n_params)
-    thetas[2 * k, k] += h
-    thetas[2 * k + 1, k] -= h
-    z = run_circuit_batch(model, thetas, np.repeat([x], n_params * 2, axis=0))
-    z = z.reshape(n_params, 2, model.num_qubits)
-    df = (z[:, 0, :] - z[:, 1, :]) / (2.0 * h)
-    return df @ upstream
+    return _shifted_differences(model, [x], h)[0] / (2.0 * h) @ upstream
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,8 @@ class TestGradCheck:
         assert "max_qubits" in capsys.readouterr().err
 
     def test_oversized_depth_request_is_resource_error(self, capsys):
-        # rejected before the parameter-shift batch of 6 * (3L)^2 angles
+        # rejected before the parameter-shift batches: L of them, each of 6
+        # rows of 3L angles at U=1
         assert main(["grad-check", "--qubits", "1", "--depth", "1000000",
                      "--seed", "0"]) == 2
         assert "max_depth" in capsys.readouterr().err

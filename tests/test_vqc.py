@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -10,6 +11,61 @@ from vqlab.vqc import (EncodingSpec, ModelFormatError, VqcModel,
                        parameter_shift_grad, phi, serialize_model)
 
 SIGMOID = EncodingSpec("sigmoid")
+
+# Gradients from the engine that ran every shifted row of a gradient as one
+# batch, rounded to 15 decimals; TestGradients checks the per-layer batches
+# against them.
+FROZEN = {
+    "ps_vectors": [
+        [-0.771625693177421, -0.374369177732566, -0.151016473362143,
+         0.296834903334788, -0.768361722583888, 0.216968432166696,
+         0.368053488279006, 0.151768013769813, -0.049301354295568,
+         -0.557591141714775, -0.0, 0.0],
+        [0.370212771976587, 0.004300195863369, 0.497139162166459,
+         -0.147310629912644, 0.451195684231999, 0.035266390077889,
+         0.105363093488653, 0.096340715955983, -0.045681786146424,
+         0.574647684259089, 0.0, -0.0]],
+    "ps_basis": [
+        [-0.687469109363335, 0.557102917004391, -0.003864173525333,
+         0.208826204073632, -0.719894337877494, -0.253164954330035,
+         -0.105297427213557, -0.065900454655614, -0.210605229188638,
+         0.456530158052227, -0.0, 0.0],
+        [-0.718913425006055, 0.128814773772878, -0.003590185855217,
+         0.159350749794472, -0.747189654727797, 0.072332844094296,
+         -0.001788569696482, -0.045623391684656, 0.086537548012101,
+         0.316059340190004, 0.0, 0.0]],
+    "fd_vector": [
+        -0.771625691889467, -0.3743691771073, -0.151016473110846,
+        0.296834902841887, -0.768361721300848, 0.216968431805603,
+        0.368053487665006, 0.151768013518433, -0.049301354214576,
+        -0.557591140785026, 1.492e-12, -6.38e-13],
+    "fd_basis": [
+        -0.540711977112252, -0.128814752303796, -0.001153311891106,
+        -0.159350723236126, -0.542649319494001, -0.072332832038793,
+        0.00178856939835, 0.045623384080887, -0.086537533589195,
+        0.152787350538142, -2.8e-14, 1.1e-14],
+    "ps_5": [
+        -0.091136564284764, 0.108460510689725, -0.135446292973973,
+        -0.227889198894488, -0.041011986563341, 0.002513189809086,
+        -0.167079164833667, -0.047434410039663, 0.072896322480748,
+        -0.046913160550905, 0.073022762073205, -0.185975841577656,
+        -0.136872589627996, 0.04490187247443, 0.131242972917907,
+        0.267822314572748, -0.040637946033653, -0.233411356680905,
+        0.141930445530516, -0.005066560145048, -0.056981976066721,
+        -0.405540578796574, 0.239007185278562, 0.058410610584477,
+        -0.007463500766322, -0.0, -0.0, -0.0, -0.0, -0.0],
+    "fd_5": [
+        -0.091136564133339, 0.108460510509677, -0.135446292749732,
+        -0.227889198513929, -0.041011986495677, 0.002513189805295,
+        -0.16707916455632, -0.047434409959284, 0.0728963223592,
+        -0.046913160471771, 0.073022761951447, -0.185975841266426,
+        -0.136872589400377, 0.044901872399903, 0.131242972699131,
+        0.267822314125933, -0.040637945964826, -0.233411356291673,
+        0.141930445294138, -0.005066560136537, -0.056981975973128,
+        -0.405540578120089, 0.23900718487997, 0.058410610486909,
+        -0.007463500754435, -1.13e-13, 6.8e-13, -1.81e-13, 4.61e-13,
+        -8.16e-13],
+}
 
 
 @pytest.fixture(params=["blocks", "per-gate"])
@@ -284,6 +340,48 @@ class TestRunCircuitBatch:
             vqc.run_circuit_batch(model, np.zeros(shape), observations)
 
 
+class TestRowEngine:
+    """The per-row engine against row-by-row shared-parameter runs, to
+    1e-12: distinct observations are encoded once, and a layer whose
+    angles are equal in every row runs in the shared form."""
+
+    @staticmethod
+    def row_thetas(rng, model, n, shared):
+        """(n, 3UL) parameters whose layers in ``shared`` are the same in
+        every row; in each other layer, some rows after the first differ
+        in one angle, as a parameter shift does."""
+        thetas = np.tile(model.params, (n, 1))
+        layers = vqc.layer_view(thetas, model.num_qubits)
+        for layer in set(range(model.depth)) - set(shared):
+            rows = rng.permutation(np.arange(1, n))[:rng.integers(1, n)]
+            kind, wire = rng.integers(3), rng.integers(model.num_qubits)
+            layers[rows, layer, kind, wire] += rng.uniform(0.1, 1.0)
+        return thetas
+
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_matches_row_by_row(self, num_qubits):
+        rng = np.random.default_rng(1410 + num_qubits)
+        u, n = num_qubits, 4
+        for depth, entangler in itertools.product(range(4),
+                                                  ("chain", "ring")):
+            model = VqcModel(u, depth,
+                             rng.uniform(-np.pi, np.pi, 3 * u * depth),
+                             entangler=entangler)
+            basis = rng.integers(0, 2 ** u, n)
+            vectors = rng.normal(size=(n, u))
+            repeated = [basis[[0, 1, 0, 0]], vectors[[2, 2, 0, 2]]]
+            all_layers = range(depth)
+            for observations, shared in itertools.product(
+                    [basis, vectors] + repeated,
+                    [all_layers, all_layers[::2], all_layers[1:], ()]):
+                thetas = self.row_thetas(rng, model, n, shared)
+                got = vqc.run_circuit_batch(model, thetas, observations)
+                want = [vqc.run_circuit_batch(model, thetas[b],
+                                              observations[b:b + 1])[0]
+                        for b in range(n)]
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestEnginePaths:
     """The cached-block path against the per-gate path and the dense
     oracle, to 1e-12."""
@@ -455,6 +553,69 @@ class TestGradients:
         monkeypatch.setattr(vqc, "SHIFT", 1.0)
         bad = parameter_shift_grad(model, x, upstream)
         assert np.max(np.abs(good - bad)) > 1e-5
+
+
+    def test_matches_frozen_values(self):
+        model = VqcModel.random(2, 2, seed=1401, init_scale=np.pi,
+                                entangler="ring")
+        upstreams = np.array([[0.7, -1.3], [0.2, 0.9]])
+        vectors = [[0.4, -1.1], [1.6, 0.3]]
+        for got, want in [
+            (vqc.grad_batch(model, upstreams, vectors, parameter_shift=True),
+             FROZEN["ps_vectors"]),
+            (vqc.grad_batch(model, upstreams, [2, 1], parameter_shift=True),
+             FROZEN["ps_basis"]),
+            (finite_diff_grad(model, vectors[0], upstreams[0]),
+             FROZEN["fd_vector"]),
+            (finite_diff_grad(model, 3, upstreams[1], h=1e-3),
+             FROZEN["fd_basis"]),
+        ]:
+            assert np.max(np.abs(got - want)) <= 1e-12
+        model = VqcModel.random(5, 2, seed=1402, init_scale=np.pi,
+                                entangler="chain")
+        rng = np.random.default_rng(1402)
+        x, upstream = rng.normal(size=5), rng.normal(size=5)
+        ps = parameter_shift_grad(model, x, upstream)
+        assert np.max(np.abs(ps - FROZEN["ps_5"])) <= 1e-12
+        fd = finite_diff_grad(model, x, upstream)
+        assert np.max(np.abs(fd - FROZEN["fd_5"])) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits,depth,n", [(1, 1, 1), (3, 2, 2),
+                                                    (4, 3, 3)])
+    def test_shifted_rows_one_batch_per_layer(self, num_qubits, depth, n,
+                                              monkeypatch):
+        batches, encoded = [], []
+
+        def counted(model, thetas, observations,
+                    original=vqc.run_circuit_batch):
+            batches.append(len(thetas))
+            return original(model, thetas, observations)
+
+        def encoding(model, obs, original=vqc._input_states):
+            encoded.append(len(obs))
+            return original(model, obs)
+
+        monkeypatch.setattr(vqc, "run_circuit_batch", counted)
+        monkeypatch.setattr(vqc, "_input_states", encoding)
+        u = num_qubits
+        model = VqcModel.random(u, depth, seed=1420)
+        observations = np.random.default_rng(1421).normal(size=(n, u))
+        vqc.grad_batch(model, np.ones((n, u)), observations,
+                       parameter_shift=True)
+        assert batches == [2 * 3 * u * n] * depth
+        assert encoded == [n] * depth
+        batches.clear()
+        encoded.clear()
+        finite_diff_grad(model, observations[0], np.ones(u))
+        assert batches == [2 * 3 * u] * depth
+        assert encoded == [1] * depth
+
+    def test_parameter_shift_rejects_psi(self):
+        model = VqcModel.random(2, 1, seed=1422)
+        psi = vqc.output_states(model, [1])
+        with pytest.raises(ValueError, match="psi"):
+            vqc.grad_batch(model, np.ones((1, 2)), [1], parameter_shift=True,
+                           psi=psi)
 
 
 class TestAdjointGradients:
