@@ -7,8 +7,9 @@ analytic expectations; shot sampling lives only in
 :func:`simcore.sample_z_mean`.
 
 Gradients w.r.t. the rotation angles are exact two ways.  Training uses
-adjoint differentiation (:func:`grad_batch` by default): one forward pass
-and one reverse sweep over the layers, whatever the parameter count.  The
+adjoint differentiation (:func:`grad_batch` by default): one forward pass,
+one reverse sweep over the layers and one call for every layer's
+derivatives, whatever the parameter count.  The
 parameter-shift rule, exact at its one shift :data:`SHIFT` = pi/2 and
 what hardware can run, is ``grad_batch(..., parameter_shift=True)``; it
 backs :func:`parameter_shift_grad`, ``vqlab grad-check`` and acceptance
@@ -24,11 +25,11 @@ with the inverse rotations and the CNOTs in reverse order.
 
 Small circuits take the block path.  With one shared parameter vector
 and at most :data:`BLOCK_MAX_QUBITS` qubits, each layer is one dense
-2^U x 2^U block, built by running the layer's gates through the simcore
-kernels on the identity and cached per parameter vector (the key is the
-parameter values, so nothing goes stale).  A forward pass is then one
-matmul by the blocks' product, or for basis inputs a row lookup in a
-cached Z table, and the adjoint un-applies each layer with one matmul.
+2^U x 2^U block; one CNOT and one rotation kernel call on the identity
+build them all, cached per parameter vector (the key is the parameter
+values, so nothing goes stale).  A forward pass is one matmul by their
+product, or for basis inputs a row lookup in a cached Z table, and the
+adjoint un-applies each layer with one matmul.
 Per-row parameter batches and larger circuits take the per-gate path.
 The threshold is measured: at L=2 and 32 rows, block build plus forward
 and adjoint beats the per-gate path up to U=5 and loses from U=6.
@@ -246,17 +247,20 @@ def _circuit_blocks(num_qubits: int, entangler: str,
     matrices (layers, product, z_table).
 
     ``layers[l]`` is layer l's unitary, transposed to act on amplitude
-    rows (``amps @ layers[l]`` applies the layer), built by running the
-    layer's gates on the 2^U identity rows.  Row i of ``product`` is the
-    output state of basis input i, and row i of ``z_table`` its Z readout.
-    The key holds the parameter values themselves, so a changed parameter
-    vector is a new entry and no entry can go stale.
+    rows (``amps @ layers[l]`` applies the layer).  All L are built at
+    once: one CNOT call on the 2^U identity rows, shared by every layer,
+    then one rotation call with the layers as its batch axis.  Row i of
+    ``product`` is the output state of basis input i, and row i of
+    ``z_table`` its Z readout.  The key holds the parameter values, so a
+    changed parameter vector is a new entry and no entry can go stale.
     """
     eye = np.eye(2 ** num_qubits, dtype=np.complex128)
-    pairs = entangler_pairs(num_qubits, entangler)
-    layers = tuple(_apply_layers(eye, num_qubits, pairs, angles[None])
-                   for angles in layer_view(np.frombuffer(theta_bytes),
-                                            num_qubits))
+    angles = layer_view(np.frombuffer(theta_bytes), num_qubits)
+    permuted = simcore.apply_cnot_batch(
+        eye, num_qubits, entangler_pairs(num_qubits, entangler))
+    layers = tuple(simcore.apply_rotation_batch(
+        permuted[None].repeat(len(angles), axis=0), num_qubits,
+        range(num_qubits), ("RX", "RY", "RZ"), angles[:, None]))
     product = functools.reduce(np.matmul, layers, eye)
     z_table = simcore.expect_z_batch(product, num_qubits, range(num_qubits))
     for array in layers + (product, z_table):
@@ -296,9 +300,9 @@ def _observations(model: VqcModel, observations) -> np.ndarray:
     return obs
 
 
-def _checked(name: str, values, shapes: list) -> np.ndarray:
-    """``values`` as a float array, which must have one of ``shapes``."""
-    values = np.asarray(values, dtype=np.float64)
+def _checked(name: str, values, shapes: list, dtype=float) -> np.ndarray:
+    """``values`` as a ``dtype`` array, which must have one of ``shapes``."""
+    values = np.asarray(values, dtype=dtype)
     if values.shape not in shapes:
         expected = " or ".join(map(str, shapes))
         raise ValueError(
@@ -315,14 +319,14 @@ def _input_states(model: VqcModel, obs: np.ndarray) -> np.ndarray:
         amps = np.zeros((obs.size, 2 ** u), complex)
         amps[np.arange(obs.size), obs] = 1.0
         return amps
-    angles = encoding_angles(obs, model.encoding)
-    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    amps = np.ones((len(obs), 1), complex)
+    # real and rows last, so each product runs along the whole batch
+    half = np.ascontiguousarray(encoding_angles(obs, model.encoding).T) / 2.0
+    cos_sin = np.stack([np.cos(half), np.sin(half)], axis=1)  # (U, 2, B)
+    amps = np.ones((1, len(obs)))
     for w in range(u):
         # wire w becomes the next, less significant bit of the index
-        amps = np.stack([amps * c[:, w, None], amps * s[:, w, None]], axis=-1)
-        amps = amps.reshape(len(obs), 2 ** (w + 1))
-    return amps
+        amps = (amps[:, None] * cos_sin[w]).reshape(2 ** (w + 1), len(obs))
+    return amps.T.astype(complex)
 
 
 def _output_states(model: VqcModel, thetas: np.ndarray, obs: np.ndarray,
@@ -331,7 +335,11 @@ def _output_states(model: VqcModel, thetas: np.ndarray, obs: np.ndarray,
     if blocks is None:
         u, rows = model.num_qubits, None
         if thetas.ndim == 2:  # per-row: encode each distinct observation once
-            obs, rows = np.unique(obs, axis=0, return_inverse=True)
+            # keyed by one np.void per row, which np.unique sorts far faster
+            keys = np.ascontiguousarray(obs).view(
+                np.dtype((np.void, obs.itemsize * math.prod(obs.shape[1:]))))
+            keys, rows = np.unique(keys.ravel(), return_inverse=True)
+            obs = keys.view(obs.dtype).reshape((len(keys),) + obs.shape[1:])
         return _apply_layers(_input_states(model, obs), u,
                              entangler_pairs(u, model.entangler),
                              layer_view(thetas, u), rows)
@@ -439,10 +447,11 @@ def _adjoint_grad(model: VqcModel, upstreams: np.ndarray, observations,
     """Adjoint differentiation (Jones & Gacon 2020, arXiv:2009.02823).
 
     After the forward pass to psi, lambda = sum_w upstream_w Z_w psi.  The
-    reverse sweep reads each layer's derivatives at its end, then
-    un-applies the layer to psi and lambda, stacked as one (2, n, 2^U)
-    array: as one matmul with the block's adjoint on the block path, else
-    gate by gate.
+    reverse sweep keeps the pair (psi, lambda) at each layer's end in a
+    (2, L, n, 2^U) stack, and un-applies every layer but the first from
+    the pair: as one matmul with the block's adjoint on the block path,
+    else gate by gate.  One :func:`_layer_derivatives` call then reads
+    every layer's derivatives from the stack.
     """
     u = model.num_qubits
     theta = model.params
@@ -450,25 +459,25 @@ def _adjoint_grad(model: VqcModel, upstreams: np.ndarray, observations,
     if psi is None:
         psi = _output_states(model, theta, _observations(model, observations),
                              blocks)
+    psi = _checked("psi", psi, [(len(upstreams), 2 ** u)], complex)
     lam = psi * (upstreams @ simcore.z_signs(u, tuple(range(u))))
-    pair = np.stack([psi, lam])
-    grads = np.empty((psi.shape[0], theta.size))
-    angles, grad_layers = layer_view(theta, u), layer_view(grads, u)
-    pairs = entangler_pairs(u, model.entangler)
+    pair = np.array([psi, lam])
+    ends = np.empty((2, model.depth) + psi.shape, complex)
+    angles, pairs = layer_view(theta, u), entangler_pairs(u, model.entangler)
     for layer in reversed(range(model.depth)):
-        grad_layers[:, layer] = _layer_derivatives(pair, u, angles[layer])
-        if blocks is not None:
-            layers, _, _ = blocks
-            pair = pair @ layers[layer].conj().T
-        else:
+        ends[:, layer] = pair
+        if layer and blocks is not None:
+            pair = pair @ blocks[0][layer].conj().T
+        elif layer:
             pair = _unapply_layer(pair, u, pairs, angles[layer])
-    return grads
+    derivatives = _layer_derivatives(ends, u, angles)  # (L, n, 3, U)
+    return derivatives.swapaxes(0, 1).reshape(len(psi), theta.size)
 
 
-def _layer_derivatives(pair: np.ndarray, num_qubits: int,
+def _layer_derivatives(ends: np.ndarray, num_qubits: int,
                        angles: np.ndarray) -> np.ndarray:
-    """(n, 3, U) derivatives of one layer's (3, U) angles, from (psi,
-    lambda) at the layer's end.
+    """(L, n, 3, U) derivatives of L layers' (L, 3, U) angles, from the
+    (2, L, n, 2^U) stack of (psi, lambda) at each layer's end.
 
     The layer's rotation blocks act on distinct wires and so commute: each
     can be taken as the layer's last gate.  There, with R = R_Z R_Y R_X,
@@ -477,20 +486,20 @@ def _layer_derivatives(pair: np.ndarray, num_qubits: int,
     Re<lambda|-i a.sigma|psi> = a . Im<lambda|sigma|psi>.
     """
     u = num_qubits
-    psi, lam_conj = pair[0], pair[1].conj()
+    psi, lam_conj = ends[0], ends[1].conj()
     signs = simcore.z_signs(u, tuple(range(u)))
-    # x, y, z[n, w] = Im<lambda|sigma|psi> for sigma = X, Y, Z on wire w
+    # x, y, z[l, n, w] = Im<lambda|sigma|psi> for sigma = X, Y, Z on wire w
     z = (lam_conj * psi).imag @ signs.T
     x, y = np.empty_like(z), np.empty_like(z)
     for w in range(u):
         # Y_w = -i Z_w X_w, so both read conj(lambda) times X_w psi
         overlaps = lam_conj * simcore.apply_x_batch(psi, u, w)
-        x[:, w] = overlaps.imag.sum(axis=-1)
-        y[:, w] = -(overlaps.real @ signs[w])
-    _, beta, gamma = angles
+        x[..., w] = overlaps.imag.sum(axis=-1)
+        y[..., w] = -(overlaps.real @ signs[w])
+    beta, gamma = angles[:, 1, None], angles[:, 2, None]
     cb, sb, cg, sg = np.cos(beta), np.sin(beta), np.cos(gamma), np.sin(gamma)
     return np.stack(
-        [cb * (cg * x + sg * y) - sb * z, cg * y - sg * x, z], axis=1)
+        [cb * (cg * x + sg * y) - sb * z, cg * y - sg * x, z], axis=2)
 
 
 def parameter_shift_grad(model: VqcModel, x, upstream: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -212,6 +213,23 @@ class TestEncode:
         oracle = simcore.dense_apply_oracle(simcore.zero_state(2), full)
         assert np.max(np.abs(state.amps - oracle.amps)) <= 1e-12
 
+    @pytest.mark.parametrize("num_qubits,rows", [(1, 1), (4, 0), (4, 3),
+                                                 (4, 729), (7, 5)])
+    def test_batch_matches_per_row_kron(self, num_qubits, rows):
+        # the product state of each row, wire by wire, in the same order
+        obs = np.random.default_rng(num_qubits + rows).normal(
+            size=(rows, num_qubits))
+        model = VqcModel(num_qubits, 0)
+        half = vqc.encoding_angles(obs, model.encoding) / 2.0
+        want = np.zeros((rows, 2 ** num_qubits), complex)
+        for b in range(rows):
+            state = np.ones(1)
+            for w in range(num_qubits):
+                state = np.kron(state, [np.cos(half[b, w]),
+                                        np.sin(half[b, w])])
+            want[b] = state
+        assert np.array_equal(vqc._input_states(model, obs), want)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             encode([0.0, 0.0, 0.0], SIGMOID, 2)
@@ -369,7 +387,8 @@ class TestRowEngine:
                              entangler=entangler)
             basis = rng.integers(0, 2 ** u, n)
             vectors = rng.normal(size=(n, u))
-            repeated = [basis[[0, 1, 0, 0]], vectors[[2, 2, 0, 2]]]
+            repeated = [basis[[0, 1, 0, 0]], vectors[[2, 2, 0, 2]],
+                        np.round(vectors[[1, 3, 1, 3]]).astype(int)]
             all_layers = range(depth)
             for observations, shared in itertools.product(
                     [basis, vectors] + repeated,
@@ -416,13 +435,34 @@ class TestEnginePaths:
                 return original(*args)
             monkeypatch.setattr(simcore, name, counted)
         vqc._circuit_blocks.cache_clear()
-        model = VqcModel.random(4, 2, seed=61, entangler="ring")
-        vqc.run_circuit_batch(model, model.params, [0, 5])
-        # per layer: one call for the 4 ring CNOTs, one for every rotation
-        assert calls == {"apply_rotation_batch": 2, "apply_cnot_batch": 2}
-        vqc.run_circuit_batch(model, model.params, [3])
-        vqc.grad_batch(model, np.ones((1, 4)), [3])
-        assert calls == {"apply_rotation_batch": 2, "apply_cnot_batch": 2}
+        for depth in (2, 3):
+            model = VqcModel.random(4, depth, seed=61, entangler="ring")
+            vqc.run_circuit_batch(model, model.params, [0, 5])
+            # for every layer at once: one call for the 4 ring CNOTs, one
+            # for every rotation
+            assert calls == {"apply_rotation_batch": 1, "apply_cnot_batch": 1}
+            vqc.run_circuit_batch(model, model.params, [3])
+            vqc.grad_batch(model, np.ones((1, 4)), [3])
+            assert calls == {"apply_rotation_batch": 1, "apply_cnot_batch": 1}
+            calls.update(dict.fromkeys(calls, 0))
+
+    @pytest.mark.parametrize("num_qubits", range(1, 6))
+    def test_one_call_build_matches_per_layer_build(self, num_qubits):
+        rng = np.random.default_rng(70 + num_qubits)
+        u = num_qubits
+        eye = np.eye(2 ** u, dtype=complex)
+        for depth, entangler in itertools.product(range(4),
+                                                  ("chain", "ring")):
+            theta = rng.uniform(-np.pi, np.pi, 3 * u * depth)
+            layers, product, _ = vqc._circuit_blocks(u, entangler,
+                                                     theta.tobytes())
+            pairs = vqc.entangler_pairs(u, entangler)
+            want = [vqc._apply_layers(eye, u, pairs, angles[None])
+                    for angles in vqc.layer_view(theta, u)]
+            assert len(layers) == depth
+            assert all(map(np.array_equal, layers, want))
+            assert np.array_equal(product,
+                                  functools.reduce(np.matmul, want, eye))
 
     def test_block_path_bounds(self):
         u = vqc.BLOCK_MAX_QUBITS
@@ -655,6 +695,65 @@ class TestAdjointGradients:
         model = VqcModel(3, 0)
         grads = vqc.grad_batch(model, np.ones((5, 3)), np.arange(5))
         assert grads.shape == (5, 0)
+
+    @staticmethod
+    def per_layer_sweep(model, upstreams, observations):
+        """The reverse sweep with one _layer_derivatives call per layer,
+        each at the (psi, lambda) pair of that layer's end."""
+        u, theta = model.num_qubits, model.params
+        psi = vqc.output_states(model, observations)
+        pair = np.stack([psi, psi * (upstreams @ simcore.z_signs(
+            u, tuple(range(u))))])
+        grads = np.empty((len(psi), theta.size))
+        angles, blocks = vqc.layer_view(theta, u), vqc._blocks(model, theta)
+        for layer in reversed(range(model.depth)):
+            vqc.layer_view(grads, u)[:, layer] = vqc._layer_derivatives(
+                pair[:, None], u, angles[layer:layer + 1])[0]
+            if blocks is not None:
+                pair = pair @ blocks[0][layer].conj().T
+            else:
+                pair = vqc._unapply_layer(
+                    pair, u, vqc.entangler_pairs(u, model.entangler),
+                    angles[layer])
+        return grads
+
+    def test_one_call_matches_per_layer_sweep(self, engine_path):
+        rng = np.random.default_rng(24)
+        for u, depth, entangler, n in itertools.product(
+                range(1, 6), range(4), ("chain", "ring"), (0, 1, 5)):
+            model = VqcModel(u, depth,
+                             rng.uniform(-np.pi, np.pi, 3 * u * depth),
+                             entangler=entangler)
+            upstreams = rng.normal(size=(n, u))
+            for observations in (rng.integers(0, 2 ** u, n),
+                                 rng.normal(size=(n, u))):
+                got = vqc.grad_batch(model, upstreams, observations)
+                want = self.per_layer_sweep(model, upstreams, observations)
+                assert got.shape == want.shape == (n, 3 * u * depth)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_one_derivative_call_per_gradient(self, depth, engine_path,
+                                              monkeypatch):
+        stacks = []
+
+        def counted(ends, num_qubits, angles,
+                    original=vqc._layer_derivatives):
+            stacks.append(ends.shape)
+            return original(ends, num_qubits, angles)
+
+        monkeypatch.setattr(vqc, "_layer_derivatives", counted)
+        model = VqcModel.random(3, depth, seed=25)
+        vqc.grad_batch(model, np.ones((4, 3)), [0, 1, 2, 7])
+        assert stacks == [(2, depth, 4, 8)]
+
+    @pytest.mark.parametrize("shape", [(1, 16), (3, 8), (2, 3, 16), (2,)])
+    def test_bad_psi_rejected(self, shape):
+        model = VqcModel.random(4, 2, seed=26)
+        with pytest.raises(ValueError, match=r"expected psi of shape "
+                                             r"\(2, 16\)"):
+            vqc.grad_batch(model, np.ones((2, 4)), [0, 1],
+                           psi=np.zeros(shape, complex))
 
 
 class TestParams:
