@@ -5,13 +5,14 @@ precision, 2^24 amplitudes ~ 256 MiB).  Qubit ordering is big-endian:
 qubit 0 is the most significant bit of the amplitude index, so on two
 qubits index 2 (binary ``10``) means qubit 0 in |1> and qubit 1 in |0>.
 
-Gates are applied with index/stride arithmetic on the flat amplitude
-array.  A circuit layer is two kernel calls: its CNOTs as one composed
-permutation (:func:`apply_cnot_batch`), and its rotations on every wire
-(:func:`apply_rotation_batch`) as one matmul per group of
-:data:`ROTATION_GROUP` adjacent wires, by the Kronecker product of their
-2x2 matrices: at most 16x16, and so the whole 2^U x 2^U layer for
-U <= 4.  (:mod:`vqlab.vqc` also holds dense per-layer blocks for
+A gate on its own (:func:`apply_gate`) is one contraction of its small
+matrix with the gate's wire axes of the amplitudes, viewed as U axes of
+size 2.  The circuit engine runs two layer kernels instead: a layer's
+CNOTs as one composed permutation (:func:`apply_cnot_batch`), and its
+rotations on every wire (:func:`apply_rotation_batch`) as one matmul per
+group of :data:`ROTATION_GROUP` adjacent wires, by the Kronecker product
+of their 2x2 matrices: at most 16x16, and so the whole 2^U x 2^U layer
+for U <= 4.  (:mod:`vqlab.vqc` also holds dense per-layer blocks for
 circuits of at most ``vqc.BLOCK_MAX_QUBITS`` qubits, built by running
 these kernels on the identity.)  A dense matrix-vector oracle
 (:func:`dense_apply_oracle`) exists purely for cross-checking the fast
@@ -159,9 +160,10 @@ def gate_matrix(kind: str, angle: Optional[float] = None) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched kernels.  All take amplitudes of shape (..., 2^U), usually (B, 2^U),
-# and return a new array; the input is never written.  These back both the
-# public single-state API and the vectorized circuit engine.  Index and bit
-# tables are built on first use per (U, wires) and cached read-only.
+# and return a new array; the input is never written.  These are the
+# kernels the vectorized circuit engine runs: the two layer kernels, the X
+# flip its adjoint reads derivatives with, and the Z readout.  Index and
+# sign tables are built on first use per (U, wires) and cached read-only.
 
 # adjacent wires per dense block (2^4 x 2^4) of the every-wire rotation
 ROTATION_GROUP = 4
@@ -190,34 +192,17 @@ def _flip_index(num_qubits: int, wire: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _bit_table(num_qubits: int, wires: tuple[int, ...]) -> np.ndarray:
-    """(k, 2^U) bools: is wire ``wires[j]`` in |1> at each index."""
-    masks = np.array([[_wire_mask(num_qubits, w)] for w in wires])
-    bits = (np.arange(2 ** num_qubits) & masks) != 0
-    bits.setflags(write=False)
-    return bits
-
-
-@functools.lru_cache(maxsize=64)
 def z_signs(num_qubits: int, wires: tuple[int, ...]) -> np.ndarray:
     """(k, 2^U) read-only table: Z's eigenvalue, +1 or -1, on wire
     ``wires[j]`` at each index."""
-    signs = np.where(_bit_table(num_qubits, wires), -1.0, 1.0)
+    masks = np.array([[_wire_mask(num_qubits, w)] for w in wires])
+    signs = np.where(np.arange(2 ** num_qubits) & masks, -1.0, 1.0)
     signs.setflags(write=False)
     return signs
 
 
 def apply_x_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
     return amps.take(_flip_index(num_qubits, wire), axis=-1)
-
-
-def apply_y_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
-    factor = np.where(_bit_table(num_qubits, (wire,))[0], 1j, -1j)
-    return factor * apply_x_batch(amps, num_qubits, wire)
-
-
-def apply_z_batch(amps: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
-    return z_signs(num_qubits, (wire,))[0] * amps
 
 
 def apply_cnot_batch(amps: np.ndarray, num_qubits: int, pairs) -> np.ndarray:
@@ -237,72 +222,38 @@ def _cnot_index(num_qubits: int, pairs: tuple) -> np.ndarray:
     return index
 
 
-def apply_cz_batch(amps: np.ndarray, num_qubits: int,
-                   wire_a: int, wire_b: int) -> np.ndarray:
-    bits = _bit_table(num_qubits, (wire_a, wire_b))
-    return np.where(bits[0] & bits[1], -1.0, 1.0) * amps
-
-
 # (A, B) of each rotation from the cosine and sine of its half angle
 _SU2_OF = {"RX": lambda c, s: (c, -1j * s), "RY": lambda c, s: (c, -s),
            "RZ": lambda c, s: (c - 1j * s, 0 * s)}
 
 
-def apply_rotation_batch(amps: np.ndarray, num_qubits: int, wire,
-                         kind, theta) -> np.ndarray:
-    """RX/RY/RZ, or a tuple of them applied in order, on one wire or, with
-    ``wire`` the sequence range(U), on every wire.
+def apply_rotation_batch(amps: np.ndarray, num_qubits: int, kinds,
+                         theta) -> np.ndarray:
+    """The tuple ``kinds`` of RX/RY/RZ, applied in order on every wire.
 
-    On one wire, one kind takes ``theta`` scalar (shared by every row) or
-    shape (B,), and a tuple of k kinds shape (k,) (shared) or (B, k).  On
-    every wire the angles gain a last axis of U: (U,) or (B, U) for one
-    kind, (k, U) or (B, k, U) for k kinds.  Each wire's rotations are
-    composed into one R = [[a, b], [-conj(b), conj(a)]].  On one wire R is
-    applied in one pass over the wire's strided half-views; on every wire,
-    each group of ROTATION_GROUP adjacent wires applies the Kronecker
-    product of its R as one matmul.
+    ``theta`` holds one angle per kind and wire: shape (k, U), shared by
+    every row, or (B..., k, U), one set per row.  Each wire's rotations
+    are composed into one R = [[a, b], [-conj(b), conj(a)]], and each
+    group of ROTATION_GROUP adjacent wires applies the Kronecker product
+    of its R as one matmul.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    one = isinstance(wire, (int, np.integer))
-    if one:
-        theta = theta[..., None]
-    elif tuple(wire) != tuple(range(num_qubits)):
-        raise ValueError(f"rotations take one wire or every wire in order, "
-                         f"got {tuple(wire)}")
-    if isinstance(kind, str):
-        kind, theta = (kind,), theta[..., None, :]
-    if (not set(kind) <= set(ROTATION_KINDS)
-            or theta.shape[-2:] != (len(kind), 1 if one else num_qubits)):
-        raise ValueError(f"rotation kinds {kind!r} need one angle each per "
+    if (not set(kinds) <= set(ROTATION_KINDS)
+            or theta.shape[-2:] != (len(kinds), num_qubits)):
+        raise ValueError(f"rotation kinds {kinds!r} need one angle each per "
                          f"row and wire, got angles of shape {theta.shape}")
-    # angles as (k, wires, B...): a and b come out as (wires, B...), so R
-    # below holds the rows on its last axis, along which the Kronecker
-    # products of _rotate_all run
+    # angles as (k, U, B...): a and b come out as (U, B...), so R below
+    # holds the rows on its last axis, along which the Kronecker products
+    # of _rotate_all run
     rows = tuple(range(theta.ndim - 2))
     half = theta.transpose((len(rows), len(rows) + 1) + rows) / 2
     cos, sin = np.cos(half), np.sin(half)
-    a, b = _SU2_OF[kind[0]](cos[0], sin[0])
-    for k, c, s in zip(kind[1:], cos[1:], sin[1:]):
+    a, b = _SU2_OF[kinds[0]](cos[0], sin[0])
+    for k, c, s in zip(kinds[1:], cos[1:], sin[1:]):
         ka, kb = _SU2_OF[k](c, s)
         a, b = ka * a - kb * np.conj(b), ka * b + kb * np.conj(a)
-    if one:
-        return _rotate_wire(amps, num_qubits, wire, a[0], b[0])
     return _rotate_all(amps, num_qubits,
                        np.array([[a, b], [-np.conj(b), np.conj(a)]]))
-
-
-def _rotate_wire(amps: np.ndarray, num_qubits: int, wire: int,
-                 a, b) -> np.ndarray:
-    shape = amps.shape[:-1] + (2 ** wire, 2, 2 ** (num_qubits - 1 - wire))
-    view = amps.reshape(shape)
-    a, b = (np.asarray(v)[..., None, None] for v in (a, b))
-    out = np.empty(shape, dtype=np.complex128)
-    lo, hi = out[..., 0, :], out[..., 1, :]
-    np.multiply(view[..., 0, :], a, out=lo)
-    lo += b * view[..., 1, :]
-    np.multiply(view[..., 1, :], a.conjugate(), out=hi)
-    hi -= b.conjugate() * view[..., 0, :]
-    return out.reshape(amps.shape)
 
 
 def _rotate_all(amps: np.ndarray, num_qubits: int,
@@ -330,34 +281,26 @@ def _rotate_all(amps: np.ndarray, num_qubits: int,
     return amps
 
 
-def expect_z_batch(amps: np.ndarray, num_qubits: int, wire) -> np.ndarray:
-    """<Z> for each batch row on one wire, shape (B,), or on a sequence of
-    k wires, shape (B, k)."""
-    single = isinstance(wire, (int, np.integer))
-    signs = z_signs(num_qubits, (wire,) if single else tuple(wire))
-    out = (amps.real ** 2 + amps.imag ** 2) @ signs.T
-    return out[..., 0] if single else out
+def expect_z_batch(amps: np.ndarray, num_qubits: int, wires) -> np.ndarray:
+    """<Z> for each batch row on each of the k ``wires``, shape (B, k)."""
+    signs = z_signs(num_qubits, tuple(wires))
+    return (amps.real ** 2 + amps.imag ** 2) @ signs.T
 
 
 def apply_gate(state: Statevector, gate: GateOp) -> Statevector:
-    """Apply one gate; returns a new Statevector, input untouched."""
-    u = state.num_qubits
+    """Apply one gate; returns a new Statevector, input untouched.
+
+    The gate's 2^k x 2^k matrix, as 2k axes of size 2 (k outputs, then k
+    inputs), is contracted with the gate's k wire axes of the amplitudes
+    viewed as U axes of size 2; its outputs then move to those wires.
+    """
+    u, k = state.num_qubits, len(gate.wires)
     for w in gate.wires:
         _check_wire(u, w)
-    amps = state.amps
-    if gate.kind == "X":
-        new = apply_x_batch(amps, u, gate.wires[0])
-    elif gate.kind == "Y":
-        new = apply_y_batch(amps, u, gate.wires[0])
-    elif gate.kind == "Z":
-        new = apply_z_batch(amps, u, gate.wires[0])
-    elif gate.kind == "CNOT":
-        new = apply_cnot_batch(amps, u, [gate.wires])
-    elif gate.kind == "CZ":
-        new = apply_cz_batch(amps, u, gate.wires[0], gate.wires[1])
-    else:
-        new = apply_rotation_batch(amps, u, gate.wires[0], gate.kind, gate.angle)
-    return Statevector(u, np.ascontiguousarray(new))
+    small = gate_matrix(gate.kind, gate.angle).reshape((2,) * (2 * k))
+    new = np.tensordot(small, state.amps.reshape((2,) * u),
+                       axes=(range(k, 2 * k), gate.wires))
+    return Statevector(u, np.moveaxis(new, range(k), gate.wires).reshape(-1))
 
 
 def dense_apply_oracle(state: Statevector, full_unitary: np.ndarray) -> Statevector:
@@ -409,7 +352,8 @@ def embed_gate(gate: GateOp, num_qubits: int) -> np.ndarray:
 def expectation_z(state: Statevector, wire: int) -> float:
     """Analytic <Z> on one wire; always in [-1, 1]."""
     _check_wire(state.num_qubits, wire)
-    return float(expect_z_batch(state.amps[None, :], state.num_qubits, wire)[0])
+    return float(expect_z_batch(state.amps[None, :], state.num_qubits,
+                                [wire])[0, 0])
 
 
 def sample_z_mean(state: Statevector, wire: int, shots: int,

@@ -226,7 +226,7 @@ def _apply_layers(amps: np.ndarray, num_qubits: int, pairs: list,
         elif rows is not None:
             amps, rows = amps[rows], None
         amps = simcore.apply_rotation_batch(
-            amps, num_qubits, range(num_qubits), ("RX", "RY", "RZ"), here)
+            amps, num_qubits, ("RX", "RY", "RZ"), here)
     return amps if rows is None else amps[rows]
 
 
@@ -235,8 +235,7 @@ def _unapply_layer(amps: np.ndarray, num_qubits: int, pairs: list,
     """Undo one layer of :func:`_apply_layers` at its shared (3, U)
     ``angles``: the inverse rotations, then the CNOTs in reverse order."""
     amps = simcore.apply_rotation_batch(
-        amps, num_qubits, range(num_qubits), ("RZ", "RY", "RX"),
-        -angles[::-1])
+        amps, num_qubits, ("RZ", "RY", "RX"), -angles[::-1])
     return simcore.apply_cnot_batch(amps, num_qubits, pairs[::-1])
 
 
@@ -260,7 +259,7 @@ def _circuit_blocks(num_qubits: int, entangler: str,
         eye, num_qubits, entangler_pairs(num_qubits, entangler))
     layers = tuple(simcore.apply_rotation_batch(
         permuted[None].repeat(len(angles), axis=0), num_qubits,
-        range(num_qubits), ("RX", "RY", "RZ"), angles[:, None]))
+        ("RX", "RY", "RZ"), angles[:, None]))
     product = functools.reduce(np.matmul, layers, eye)
     z_table = simcore.expect_z_batch(product, num_qubits, range(num_qubits))
     for array in layers + (product, z_table):
@@ -493,7 +492,10 @@ def _layer_derivatives(ends: np.ndarray, num_qubits: int,
     x, y = np.empty_like(z), np.empty_like(z)
     for w in range(u):
         # Y_w = -i Z_w X_w, so both read conj(lambda) times X_w psi
-        overlaps = lam_conj * simcore.apply_x_batch(psi, u, w)
+        # a named operand is never elided into an in-place product, whose
+        # scalar loop rounds differently from the one small arrays take
+        flipped = simcore.apply_x_batch(psi, u, w)
+        overlaps = lam_conj * flipped
         x[..., w] = overlaps.imag.sum(axis=-1)
         y[..., w] = -(overlaps.real @ signs[w])
     beta, gamma = angles[:, 1, None], angles[:, 2, None]

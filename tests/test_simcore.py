@@ -208,16 +208,16 @@ class TestDenseOracle:
             slow = dense_apply_oracle(slow, embed_gate(gate, 2))
         assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
 
-    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
     def test_every_kind_on_every_basis_state(self, num_qubits):
         rng = np.random.default_rng(num_qubits)
         gates = []
         for kind in simcore.FIXED_KINDS:
-            if kind in simcore.TWO_QUBIT_KINDS and num_qubits < 2:
-                continue
-            wires = (0,) if kind not in simcore.TWO_QUBIT_KINDS \
-                else (0, num_qubits - 1)
-            gates.append(GateOp(kind, wires))
+            if kind not in simcore.TWO_QUBIT_KINDS:
+                gates.append(GateOp(kind, (0,)))
+            elif num_qubits >= 2:
+                gates += [GateOp(kind, (0, num_qubits - 1)),
+                          GateOp(kind, (num_qubits - 1, 0))]
         for kind in simcore.ROTATION_KINDS:
             for angle in rng.uniform(-2 * np.pi, 2 * np.pi, size=10):
                 wire = int(rng.integers(num_qubits))
@@ -293,16 +293,32 @@ def _random_amps(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _on_wire(theta, wire, num_qubits):
+    """(..., k) angles as (..., k, U) every-wire angles, zero off ``wire``."""
+    theta = np.asarray(theta, dtype=np.float64)
+    out = np.zeros(theta.shape + (num_qubits,))
+    out[..., wire] = theta
+    return out
+
+
+def _gate_by_gate(gates, num_qubits, amps):
+    """Gates applied in order to the state ``amps`` through apply_gate."""
+    state = simcore.Statevector(num_qubits, amps)
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return state.amps
+
+
 @pytest.fixture(params=["strided"])
 def kernel_form(request):
-    """The form of apply_rotation_batch on one wire: its only one, on the
-    wire's strided half-views."""
+    """One-value parameter that keeps these tests' ids as they were when
+    the one-wire rotation ran on a wire's strided half-views."""
     return request.param
 
 
 class TestFusedRotation:
-    """A tuple of kinds against sequential single-kind calls and the
-    dense oracle, on every wire, to 1e-12."""
+    """A tuple of kinds on one wire (every-wire angles, zero elsewhere)
+    against apply_gate and the dense oracle, on every wire, to 1e-12."""
 
     KINDS = ("RX", "RY", "RZ")
 
@@ -315,13 +331,14 @@ class TestFusedRotation:
             shared = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
             rows = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, 3))
             for theta in (shared, rows):
-                fused = simcore.apply_rotation_batch(amps, num_qubits, wire,
-                                                     self.KINDS, theta)
-                seq = amps
-                for j, kind in enumerate(self.KINDS):
-                    seq = simcore.apply_rotation_batch(seq, num_qubits, wire,
-                                                       kind, theta[..., j])
+                fused = simcore.apply_rotation_batch(
+                    amps, num_qubits, self.KINDS,
+                    _on_wire(theta, wire, num_qubits))
                 row_angles = np.broadcast_to(theta, (batch, 3))
+                seq = np.stack([_gate_by_gate(
+                    [GateOp(kind, (wire,), float(angle))
+                     for kind, angle in zip(self.KINDS, row_angles[b])],
+                    num_qubits, amps[b]) for b in range(batch)])
                 dense = np.stack([
                     _dense_rotations(self.KINDS, row_angles[b], wire,
                                      num_qubits) @ amps[b]
@@ -336,10 +353,12 @@ class TestFusedRotation:
         for wire in range(3):
             scalar = float(rng.uniform(-2 * np.pi, 2 * np.pi))
             rows = rng.uniform(-2 * np.pi, 2 * np.pi, 4)
-            got = simcore.apply_rotation_batch(amps, 3, wire, kind, scalar)
+            got = simcore.apply_rotation_batch(amps, 3, (kind,),
+                                               _on_wire([scalar], wire, 3))
             want = amps @ _dense_rotations((kind,), [scalar], wire, 3).T
             assert np.max(np.abs(got - want)) <= 1e-12
-            got = simcore.apply_rotation_batch(amps, 3, wire, kind, rows)
+            got = simcore.apply_rotation_batch(
+                amps, 3, (kind,), _on_wire(rows[:, None], wire, 3))
             want = np.stack([_dense_rotations((kind,), [rows[b]], wire, 3)
                              @ amps[b] for b in range(4)])
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -353,7 +372,8 @@ class TestFusedRotation:
             shared = rng.uniform(-np.pi, np.pi, 3)
             rows = rng.uniform(-np.pi, np.pi, (5, 3))
             for theta in (shared, rows):
-                got = simcore.apply_rotation_batch(pair, 4, wire, kinds, theta)
+                got = simcore.apply_rotation_batch(pair, 4, kinds,
+                                                   _on_wire(theta, wire, 4))
                 angles = np.broadcast_to(theta, (5, 3))
                 for half in range(2):
                     want = np.stack([
@@ -364,11 +384,12 @@ class TestFusedRotation:
     def test_angle_count_checked(self):
         amps = zero_state(2).amps[None, :]
         with pytest.raises(ValueError):
-            simcore.apply_rotation_batch(amps, 2, 0, ("RX", "RY"), [0.1])
+            simcore.apply_rotation_batch(amps, 2, ("RX", "RY"), [[0.1, 0.1]])
         with pytest.raises(ValueError):
-            simcore.apply_rotation_batch(amps, 2, 0, ("RX", "RY"), 0.1)
+            simcore.apply_rotation_batch(amps, 2, ("RX", "RY"), 0.1)
         with pytest.raises(ValueError):
-            simcore.apply_rotation_batch(amps, 2, 0, ("RX", "X"), [0.1, 0.2])
+            simcore.apply_rotation_batch(amps, 2, ("RX", "X"),
+                                         np.zeros((2, 2)))
 
 
 def _dense_apply(gates, num_qubits, amps):
@@ -410,18 +431,14 @@ class TestLayerKernels:
         shared = rng.uniform(-2 * np.pi, 2 * np.pi, (3, u))
         rows = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, 3, u))
         for theta in (shared, rows):
-            got = simcore.apply_rotation_batch(amps, u, range(u), self.KINDS,
-                                               theta)
-            seq = amps
-            for wire in range(u):
-                seq = simcore.apply_rotation_batch(seq, u, wire, self.KINDS,
-                                                   theta[..., wire])
-            assert np.max(np.abs(got - seq)) <= 1e-12
+            got = simcore.apply_rotation_batch(amps, u, self.KINDS, theta)
             angles = np.broadcast_to(theta, (batch, 3, u))
             for b in range(batch):
                 gates = [GateOp(kind, (w,), float(angles[b, k, w]))
                          for w in range(u)
                          for k, kind in enumerate(self.KINDS)]
+                seq = _gate_by_gate(gates, u, amps[b])
+                assert np.max(np.abs(got[b] - seq)) <= 1e-12
                 dense = _dense_apply(gates, u, amps[b])
                 assert np.max(np.abs(got[b] - dense)) <= 1e-12
 
@@ -433,15 +450,12 @@ class TestLayerKernels:
         for kind in ROTATION_KINDS:
             for theta in (rng.uniform(-np.pi, np.pi, u),
                           rng.uniform(-np.pi, np.pi, (3, u))):
-                got = simcore.apply_rotation_batch(amps, u, range(u), kind,
-                                                   theta)
-                want = simcore.apply_rotation_batch(amps, u, range(u), (kind,),
-                                                    theta[..., None, :])
-                assert np.array_equal(got, want)
-                seq = amps
-                for wire in range(u):
-                    seq = simcore.apply_rotation_batch(seq, u, wire, kind,
-                                                       theta[..., wire])
+                got = simcore.apply_rotation_batch(amps, u, (kind,),
+                                                   theta[..., None, :])
+                angles = np.broadcast_to(theta, (3, u))
+                seq = np.stack([_gate_by_gate(
+                    [GateOp(kind, (w,), float(angles[b, w]))
+                     for w in range(u)], u, amps[b]) for b in range(3)])
                 assert np.max(np.abs(got - seq)) <= 1e-12
 
     @pytest.mark.parametrize("num_qubits", [3, 5])
@@ -453,10 +467,10 @@ class TestLayerKernels:
         kinds = ("RZ", "RY", "RX")
         for theta in (rng.uniform(-np.pi, np.pi, (3, u)),
                       rng.uniform(-np.pi, np.pi, (4, 3, u))):
-            got = simcore.apply_rotation_batch(pair, u, range(u), kinds, theta)
+            got = simcore.apply_rotation_batch(pair, u, kinds, theta)
             for half in range(2):
-                want = simcore.apply_rotation_batch(pair[half], u, range(u),
-                                                    kinds, theta)
+                want = simcore.apply_rotation_batch(pair[half], u, kinds,
+                                                    theta)
                 assert np.max(np.abs(got[half] - want)) <= 1e-12
         pairs = [(w, (w + 1) % u) for w in range(u)]
         got = simcore.apply_cnot_batch(pair, u, pairs)
@@ -471,33 +485,28 @@ class TestLayerKernels:
         amps = _random_amps(rng, (16, 2 ** u))
         for theta in (rng.uniform(-np.pi, np.pi, (3, u)),
                       rng.uniform(-np.pi, np.pi, (16, 3, u))):
-            first = simcore.apply_rotation_batch(amps, u, range(u), self.KINDS,
-                                                 theta)
+            first = simcore.apply_rotation_batch(amps, u, self.KINDS, theta)
             for _ in range(3):
-                again = simcore.apply_rotation_batch(amps, u, range(u),
-                                                     self.KINDS, theta)
+                again = simcore.apply_rotation_batch(amps, u, self.KINDS,
+                                                     theta)
                 assert np.array_equal(first, again)
 
     def test_empty_batch(self):
         for u in (1, 4, 5):
             amps = np.zeros((0, 2 ** u), complex)
             for theta in (np.zeros((3, u)), np.zeros((0, 3, u))):
-                got = simcore.apply_rotation_batch(amps, u, range(u),
-                                                   self.KINDS, theta)
+                got = simcore.apply_rotation_batch(amps, u, self.KINDS, theta)
                 assert got.shape == (0, 2 ** u)
             pairs = [(w, (w + 1) % u) for w in range(u - 1)]
             assert simcore.apply_cnot_batch(amps, u, pairs).shape == amps.shape
 
     def test_wires_and_angles_checked(self):
+        # the angles' last axis is the wires: it must cover all U of them
         amps = zero_state(3).amps[None, :]
-        for wires in ([1, 0, 2], range(2), range(4)):
-            with pytest.raises(ValueError, match="every wire"):
-                simcore.apply_rotation_batch(amps, 3, wires, "RX", np.zeros(3))
-        for theta in (np.zeros(3), np.zeros((3, 3)), np.zeros((2, 2)),
-                      np.zeros((4, 3, 3))):
+        for theta in (np.zeros(3), np.zeros((2, 2)), np.zeros((2, 4)),
+                      np.zeros((3, 3)), np.zeros((4, 3, 3))):
             with pytest.raises(ValueError, match="angles of shape"):
-                simcore.apply_rotation_batch(amps, 3, range(3), ("RX", "RY"),
-                                             theta)
+                simcore.apply_rotation_batch(amps, 3, ("RX", "RY"), theta)
 
 
 class TestExpectZSequence:
@@ -509,9 +518,9 @@ class TestExpectZSequence:
             together = simcore.expect_z_batch(amps, num_qubits, wires)
             assert together.shape == (7, num_qubits)
             for j, wire in enumerate(wires):
-                alone = simcore.expect_z_batch(amps, num_qubits, int(wire))
-                assert alone.shape == (7,)
-                assert np.max(np.abs(together[:, j] - alone)) <= 1e-12
+                alone = simcore.expect_z_batch(amps, num_qubits, [wire])
+                assert alone.shape == (7, 1)
+                assert np.max(np.abs(together[:, j] - alone[:, 0])) <= 1e-12
 
 
 class TestKernelsLeaveInputsAlone:
@@ -523,25 +532,19 @@ class TestKernelsLeaveInputsAlone:
         rows = rng.uniform(-np.pi, np.pi, (3, 3))
         return [
             lambda a: simcore.apply_x_batch(a, 3, 1),
-            lambda a: simcore.apply_y_batch(a, 3, 1),
-            lambda a: simcore.apply_z_batch(a, 3, 1),
             lambda a: simcore.apply_cnot_batch(a, 3, [(0, 2)]),
             lambda a: simcore.apply_cnot_batch(a, 3, [(0, 1), (2, 0)]),
-            lambda a: simcore.apply_cz_batch(a, 3, 2, 0),
-            lambda a: simcore.apply_rotation_batch(a, 3, 1, "RX", 0.4),
-            lambda a: simcore.apply_rotation_batch(a, 3, 1, "RY", rows[:, 0]),
-            lambda a: simcore.apply_rotation_batch(a, 3, 2, ("RX", "RY", "RZ"),
-                                                   rows[0]),
-            lambda a: simcore.apply_rotation_batch(a, 3, 0, ("RZ", "RX"),
-                                                   rows[:, :2]),
-            lambda a: simcore.apply_rotation_batch(a, 3, range(3), "RY",
-                                                   rows[0]),
-            lambda a: simcore.apply_rotation_batch(a, 3, range(3),
-                                                   ("RX", "RY", "RZ"), rows),
+            lambda a: simcore.apply_rotation_batch(a, 3, ("RY",), rows[:1]),
+            lambda a: simcore.apply_rotation_batch(a, 3, ("RX", "RY", "RZ"),
+                                                   rows),
             lambda a: simcore.apply_rotation_batch(
-                a, 3, range(3), ("RZ", "RX"), np.stack([rows[:2]] * 3)),
-            lambda a: simcore.expect_z_batch(a, 3, 1),
+                a, 3, ("RZ", "RX"), np.stack([rows[:2]] * 3)),
+            lambda a: simcore.expect_z_batch(a, 3, [1]),
             lambda a: simcore.expect_z_batch(a, 3, [2, 0]),
+            lambda a: apply_gate(simcore.Statevector(3, a[1]),
+                                 GateOp("RY", (1,), 0.4)).amps,
+            lambda a: apply_gate(simcore.Statevector(3, a[1]),
+                                 GateOp("CZ", (2, 0))).amps,
         ]
 
     def test_input_and_tables_unchanged(self, kernel_form):
@@ -556,8 +559,7 @@ class TestKernelsLeaveInputsAlone:
             assert np.array_equal(amps, before)
             assert np.array_equal(call(amps), call(before))
         for table in (simcore._flip_index(3, 1), simcore._flip_index(3, 2, 0),
-                      simcore._bit_table(3, (1,)),
-                      simcore._bit_table(3, (2, 0)),
+                      simcore.z_signs(3, (1,)), simcore.z_signs(3, (2, 0)),
                       simcore._cnot_index(3, ((0, 1), (2, 0)))):
             assert not table.flags.writeable
         idx = np.arange(8)
@@ -567,5 +569,6 @@ class TestKernelsLeaveInputsAlone:
         assert np.array_equal(simcore._flip_index(3, 1), idx ^ 2)
         assert np.array_equal(simcore._flip_index(3, 2, 0),
                               np.where(idx & 4, idx ^ 1, idx))
-        assert np.array_equal(simcore._bit_table(3, (2, 0)),
-                              [(idx & 1) != 0, (idx & 4) != 0])
+        assert np.array_equal(simcore.z_signs(3, (2, 0)),
+                              [np.where(idx & 1, -1, 1),
+                               np.where(idx & 4, -1, 1)])

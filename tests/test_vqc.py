@@ -719,8 +719,12 @@ class TestAdjointGradients:
 
     def test_one_call_matches_per_layer_sweep(self, engine_path):
         rng = np.random.default_rng(24)
-        for u, depth, entangler, n in itertools.product(
-                range(1, 6), range(4), ("chain", "ring"), (0, 1, 5)):
+        cases = list(itertools.product(
+            range(1, 6), range(4), ("chain", "ring"), (0, 1, 5)))
+        # stacks whose (L, n, 2^U) halves reach 256 KiB, the size from which
+        # NumPy may compute a product in place of a temporary operand
+        cases += [(4, 2, "ring", 512), (6, 2, "ring", 128)]
+        for u, depth, entangler, n in cases:
             model = VqcModel(u, depth,
                              rng.uniform(-np.pi, np.pi, 3 * u * depth),
                              entangler=entangler)
