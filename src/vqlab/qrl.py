@@ -94,6 +94,8 @@ class QrlConfig:
         for name in ("episodes", "warmup", "init_scale"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.init_scale > vqc.MAX_INIT_SCALE:
+            raise ValueError(f"init_scale must be <= {vqc.MAX_INIT_SCALE:g}")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0 < self.epsilon_decay <= 1:

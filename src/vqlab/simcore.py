@@ -232,10 +232,10 @@ def apply_rotation_batch(amps: np.ndarray, num_qubits: int, kinds,
     """The tuple ``kinds`` of RX/RY/RZ, applied in order on every wire.
 
     ``theta`` holds one angle per kind and wire: shape (k, U), shared by
-    every row, or (B..., k, U), one set per row.  Each wire's rotations
-    are composed into one R = [[a, b], [-conj(b), conj(a)]], and each
-    group of ROTATION_GROUP adjacent wires applies the Kronecker product
-    of its R as one matmul.
+    every row, or (B..., k, U), broadcast against the rows as in a matmul:
+    (n, 1, 2^U) states at (S, k, U) angles give (n, S, 2^U).  Each wire's
+    rotations compose into one R = [[a, b], [-conj(b), conj(a)]]; a group
+    of ROTATION_GROUP adjacent wires is one matmul by their Kronecker product.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if (not set(kinds) <= set(ROTATION_KINDS)
@@ -259,13 +259,13 @@ def apply_rotation_batch(amps: np.ndarray, num_qubits: int, kinds,
 def _rotate_all(amps: np.ndarray, num_qubits: int,
                 rs: np.ndarray) -> np.ndarray:
     """Every wire's R, from (2, 2, U, B...) ``rs``, one group of adjacent
-    wires per matmul.
+    wires per matmul, which broadcasts the batch axes of ``amps`` and R.
 
     The group's wires are always the most significant ones: the matmul
     moves them to the least significant end, which brings the next group
     to the top and, after the last group, every wire back to its place.
     """
-    lead, dim = amps.shape[:-1], 2 ** num_qubits
+    dim = 2 ** num_qubits
     for start in range(0, num_qubits, ROTATION_GROUP):
         block = rs[:, :, start]
         for w in range(start + 1, min(start + ROTATION_GROUP, num_qubits)):
@@ -273,16 +273,17 @@ def _rotate_all(amps: np.ndarray, num_qubits: int,
             block = block[:, None, :, None] * rs[None, :, None, :, w]
             block = block.reshape((size, size) + block.shape[4:])
         # (B..., size, size) and contiguous, which the matmul needs to
-        # reach BLAS for per-row blocks
+        # reach BLAS for per-set blocks
         transposed = np.ascontiguousarray(
             block.transpose(tuple(range(2, block.ndim)) + (1, 0)))
-        view = amps.reshape(lead + (len(block), dim // len(block)))
-        amps = (view.swapaxes(-1, -2) @ transposed).reshape(lead + (dim,))
+        view = amps.reshape(amps.shape[:-1] + (len(block), dim // len(block)))
+        amps = view.swapaxes(-1, -2) @ transposed
+        amps = amps.reshape(amps.shape[:-2] + (dim,))
     return amps
 
 
 def expect_z_batch(amps: np.ndarray, num_qubits: int, wires) -> np.ndarray:
-    """<Z> for each batch row on each of the k ``wires``, shape (B, k)."""
+    """<Z> for each batch row on each of the k ``wires``, shape (..., k)."""
     signs = z_signs(num_qubits, tuple(wires))
     return (amps.real ** 2 + amps.imag ** 2) @ signs.T
 

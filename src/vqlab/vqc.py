@@ -14,11 +14,11 @@ parameter-shift rule, exact at its one shift :data:`SHIFT` = pi/2 and
 what hardware can run, is ``grad_batch(..., parameter_shift=True)``; it
 backs :func:`parameter_shift_grad`, ``vqlab grad-check`` and acceptance
 criterion 3; a central finite difference oracle is kept alongside both
-for verification.  Both shift rules run one per-row batch per layer.
+for verification.  Both shift rules run one set batch per layer.
 
 Evaluation is vectorized and runs layer by layer: a batch of circuits is
 one (B, 2^U) amplitude array, and :func:`layer_view` reads the flat
-parameters, shared by every row or one vector per row, as layer angles.
+parameters, one vector or a stack of S parameter sets, as layer angles.
 The per-gate path applies each layer as two simcore kernel calls, its
 entangler CNOTs and then its rotations on every wire, and un-applies it
 with the inverse rotations and the CNOTs in reverse order.
@@ -30,14 +30,14 @@ build them all, cached per parameter vector (the key is the parameter
 values, so nothing goes stale).  A forward pass is one matmul by their
 product, or for basis inputs a row lookup in a cached Z table, and the
 adjoint un-applies each layer with one matmul.
-Per-row parameter batches and larger circuits take the per-gate path.
-The threshold is measured: at L=2 and 32 rows, block build plus forward
-and adjoint beats the per-gate path up to U=5 and loses from U=6.
+Parameter sets and larger circuits take the per-gate path.  The
+threshold is measured: at L=2 and 32 rows, block build plus forward and
+adjoint beats the per-gate path up to U=5 and loses from U=6.
 
-A per-row batch encodes each distinct observation once and runs a layer
-whose angles are equal in every row in the shared-angle kernel form, so
-a shift rule's batch for layer l runs the layers before l once per
-observation and those after l in the shared form.
+A set batch, S parameter vectors, runs each on every observation.  Its
+states start as (n, 1, 2^U): a layer whose angles are equal in every set
+runs once, in the shared-angle kernel form, and the first layer whose
+angles differ broadcasts them to (n, S, 2^U) in its rotation's matmul.
 
 Configs and checkpoints share one JSON checker, :func:`parse_document`;
 a checkpoint has exactly the keys of :data:`MODEL_KEYS` or its extension.
@@ -62,6 +62,7 @@ MODEL_SCHEMA = "vqc-v1"
 SHIFT = math.pi / 2
 # a model's 3UL parameters: at most as many as the amplitudes at the qubit cap
 MAX_PARAMS = 2 ** simcore.DEFAULT_QUBIT_CAP
+MAX_INIT_SCALE = sys.float_info.max / 2  # so 2 * init_scale is finite
 # shared-parameter circuits up to this many qubits run as cached per-layer
 # blocks; their depth * 4^U block entries (16 bytes each) are capped too
 BLOCK_MAX_QUBITS = 5
@@ -141,8 +142,8 @@ class VqcModel:
                entangler: Optional[str] = None,
                encoding: Optional[EncodingSpec] = None) -> "VqcModel":
         """Near-identity initialization: uniform in (-init_scale, init_scale)."""
-        if not init_scale >= 0:
-            raise ValueError("init_scale must be >= 0")
+        if not 0 <= init_scale <= MAX_INIT_SCALE:
+            raise ValueError(f"init_scale must lie in [0, {MAX_INIT_SCALE:g}]")
         model = cls(num_qubits, depth, None, entangler, encoding)
         rng = np.random.default_rng(seed)
         model.params = rng.uniform(-init_scale, init_scale, model.num_params)
@@ -210,24 +211,21 @@ def layer_view(params: np.ndarray, num_qubits: int) -> np.ndarray:
 
 
 def _apply_layers(amps: np.ndarray, num_qubits: int, pairs: list,
-                  angles: np.ndarray, rows=None) -> np.ndarray:
+                  angles: np.ndarray) -> np.ndarray:
     """Layers in order, two simcore kernel calls each: the entangler CNOTs
     ``pairs`` as one permutation, then one fused RX-RY-RZ on every wire.
-    ``angles`` is a :func:`layer_view`, (L, 3, U) shared by every row or
-    (B, L, 3, U) with one per row.  A layer whose per-row angles are equal
-    in every row runs in the shared form.  With ``rows``, batch row b is
-    ``amps`` row rows[b] up to the first layer whose angles differ
-    between rows; the batch expands there, after the layer's CNOTs."""
+    ``angles`` is a :func:`layer_view`, (L, 3, U) shared by every state or
+    (S, L, 3, U), one set per column of (n, 1 or S, 2^U) ``amps``.  A
+    layer whose angles are equal in every set runs in the shared form; a
+    layer whose angles differ broadcasts the states to (n, S, 2^U)."""
     for layer in range(angles.shape[-3]):
         amps = simcore.apply_cnot_batch(amps, num_qubits, pairs)
         here = angles[..., layer, :, :]
         if here.ndim == 3 and len(here) and np.all(here == here[0]):
             here = here[0]
-        elif rows is not None:
-            amps, rows = amps[rows], None
         amps = simcore.apply_rotation_batch(
             amps, num_qubits, ("RX", "RY", "RZ"), here)
-    return amps if rows is None else amps[rows]
+    return amps
 
 
 def _unapply_layer(amps: np.ndarray, num_qubits: int, pairs: list,
@@ -269,7 +267,7 @@ def _circuit_blocks(num_qubits: int, entangler: str,
 
 def _blocks(model: VqcModel, thetas: np.ndarray) -> Optional[tuple]:
     """The cached :func:`_circuit_blocks` of ``model`` at ``thetas``, or
-    None where the per-gate path runs instead: for per-row parameters,
+    None where the per-gate path runs instead: for parameter sets,
     above :data:`BLOCK_MAX_QUBITS` qubits, or past :data:`BLOCK_MAX_AMPS`."""
     u = model.num_qubits
     if (thetas.ndim != 1 or u > BLOCK_MAX_QUBITS
@@ -330,18 +328,16 @@ def _input_states(model: VqcModel, obs: np.ndarray) -> np.ndarray:
 
 def _output_states(model: VqcModel, thetas: np.ndarray, obs: np.ndarray,
                    blocks: Optional[tuple]) -> np.ndarray:
-    """(B, 2^U) states after the circuit, for B checked observations."""
+    """(n, 2^U) states after the circuit, or (n, S, 2^U) for S sets."""
     if blocks is None:
-        u, rows = model.num_qubits, None
-        if thetas.ndim == 2:  # per-row: encode each distinct observation once
-            # keyed by one np.void per row, which np.unique sorts far faster
-            keys = np.ascontiguousarray(obs).view(
-                np.dtype((np.void, obs.itemsize * math.prod(obs.shape[1:]))))
-            keys, rows = np.unique(keys.ravel(), return_inverse=True)
-            obs = keys.view(obs.dtype).reshape((len(keys),) + obs.shape[1:])
-        return _apply_layers(_input_states(model, obs), u,
-                             entangler_pairs(u, model.entangler),
-                             layer_view(thetas, u), rows)
+        u, amps = model.num_qubits, _input_states(model, obs)
+        if thetas.ndim == 2:  # one column until a layer's sets differ
+            amps = amps[:, None]
+        amps = _apply_layers(amps, u, entangler_pairs(u, model.entangler),
+                             layer_view(thetas, u))
+        if thetas.ndim == 2:  # sets that share every layer kept one column
+            amps = np.broadcast_to(amps, (len(obs), len(thetas), 2 ** u))
+        return amps
     _, product, _ = blocks
     if obs.ndim == 1:
         return product[obs]
@@ -368,20 +364,20 @@ def readout(model: VqcModel, states: np.ndarray) -> np.ndarray:
 
 def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
                       observations) -> np.ndarray:
-    """Z expectations, shape (B, U), for B circuits evaluated at once.
+    """Z expectations of the circuit on n observations at once.
 
-    ``observations`` are B basis-state indices, shape (B,), or B real
-    vectors for the angle encoding, shape (B, U); they set each row's
-    input state and so the batch size.  ``thetas``, any parameters of
-    ``model``'s shape, is the flat (3UL,) vector that every row shares, or
-    (B, 3UL); another shape is rejected.  Basis inputs on the block path
-    read rows of the cached Z table.  A (B, 3UL) batch encodes each
-    distinct observation once and runs a layer that every row shares in
-    the shared-angle form.
+    ``observations`` are n basis-state indices, shape (n,), or n real
+    vectors for the angle encoding, shape (n, U).  ``thetas`` is one
+    (3UL,) parameter vector, giving (n, U), or S parameter sets, (S, 3UL),
+    each run on every observation, giving (n, S, U); another shape is
+    rejected.  Basis inputs on the block path read the cached Z table.
     """
     obs = _observations(model, observations)
     n = model.num_params
-    thetas = _checked("parameters", thetas, [(n,), (len(obs), n)])
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim not in (1, 2) or thetas.shape[-1] != n:
+        raise ValueError(f"expected parameters of shape ({n},) or (S, {n}), "
+                         f"got shape {thetas.shape}")
     blocks = _blocks(model, thetas)
     if blocks is not None and obs.ndim == 1:
         _, _, z_table = blocks
@@ -410,8 +406,8 @@ def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
     default this is the adjoint method that training uses: n forward rows
     and one reverse sweep; ``psi``, the observations' :func:`output_states`,
     replaces its forward pass.  ``parameter_shift`` runs the
-    parameter-shift rule at :data:`SHIFT` instead, the 2 * 3UL * n shifted
-    circuits as one batch per layer (:func:`_shifted_differences`); that
+    parameter-shift rule at :data:`SHIFT` instead, one batch of 2 * 3U
+    shifted parameter sets per layer (:func:`_shifted_differences`); that
     is the path of :func:`parameter_shift_grad`, and it takes no ``psi``.
     """
     n = len(observations)
@@ -427,17 +423,16 @@ def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
 def _shifted_differences(model: VqcModel, observations,
                          shift: float) -> np.ndarray:
     """z(theta + shift e_p) - z(theta - shift e_p), shape (n, 3UL, U), for
-    n observations: one :func:`run_circuit_batch` call per layer."""
-    theta, u, n = model.params, model.num_qubits, len(observations)
-    diffs, k = np.empty((n, theta.size, u)), np.arange(3 * u)
+    n observations: per layer, its 2 * 3U shifted sets in one batch."""
+    theta, u = model.params, model.num_qubits
+    diffs, k = np.empty((len(observations), theta.size, u)), np.arange(3 * u)
     for start in range(0, theta.size, k.size):
-        # rows: input-major, then the layer's parameter, then (+, -) shift
+        # sets: the layer's parameters in order, each shifted by + then -
         thetas = np.tile(theta, (2 * k.size, 1))
         thetas[2 * k, start + k] += shift
         thetas[2 * k + 1, start + k] -= shift
-        z = run_circuit_batch(model, np.tile(thetas, (n, 1)),
-                              np.repeat(observations, 2 * k.size, axis=0))
-        diffs[:, start + k] = (z[0::2] - z[1::2]).reshape(n, k.size, u)
+        z = run_circuit_batch(model, thetas, observations)
+        diffs[:, start + k] = z[:, 0::2] - z[:, 1::2]
     return diffs
 
 

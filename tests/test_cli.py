@@ -120,6 +120,8 @@ class TestOutOfRangeValues:
     @pytest.mark.parametrize("command, section, key, value", [
         ("train-qrl", "qrl", "depth", -1),
         ("train-qrl", "qrl", "init_scale", -1),
+        # uniform(-s, s) cannot draw once its width 2s overflows
+        ("train-qrl", "qrl", "init_scale", 1e308),
         ("train-qrl", "qrl", "entangler", "star"),
         ("train-qrl", "qrl", "optimizer", "rmsprop"),
         ("train-qrl", "qrl", "num_qubits", 2),

@@ -478,6 +478,20 @@ class TestLayerKernels:
             want = simcore.apply_cnot_batch(pair[half], u, pairs)
             assert np.array_equal(got[half], want)
 
+    @pytest.mark.parametrize("num_qubits", [1, 3, 4, 5, 9])
+    def test_set_angles_broadcast_states(self, num_qubits):
+        # (n, 1, 2^U) states at (S, 3, U) angles: every set on every state
+        u = num_qubits
+        rng = np.random.default_rng(120 + u)
+        amps = _random_amps(rng, (3, 1, 2 ** u))
+        theta = rng.uniform(-np.pi, np.pi, (5, 3, u))
+        got = simcore.apply_rotation_batch(amps, u, self.KINDS, theta)
+        assert got.shape == (3, 5, 2 ** u)
+        for s in range(5):
+            shared = simcore.apply_rotation_batch(amps[:, 0], u, self.KINDS,
+                                                  theta[s])
+            assert np.max(np.abs(got[:, s] - shared)) <= 1e-12
+
     @pytest.mark.parametrize("num_qubits", [4, 12])
     def test_repeated_calls_are_bit_identical(self, num_qubits):
         u = num_qubits

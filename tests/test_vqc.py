@@ -314,18 +314,19 @@ class TestRunCircuitBatch:
                 observations = rng.integers(0, 2 ** u, n)
             else:
                 observations = rng.normal(size=(n, u))
+            sets = int(rng.integers(1, 5))
             flat = vqc.run_circuit_batch(model, model.params, observations)
             tiled = vqc.run_circuit_batch(
-                model, np.tile(model.params, (n, 1)), observations)
-            assert flat.shape == tiled.shape == (n, u)
-            assert np.max(np.abs(flat - tiled)) <= 1e-12
-            # distinct rows: each must match its own flat-vector run
-            rows = rng.uniform(-np.pi, np.pi, (n, model.num_params))
-            per_row = vqc.run_circuit_batch(model, rows, observations)
-            for b in range(n):
-                own = vqc.run_circuit_batch(model, rows[b],
-                                            observations[b:b + 1])
-                assert np.max(np.abs(per_row[b] - own[0])) <= 1e-12
+                model, np.tile(model.params, (sets, 1)), observations)
+            assert flat.shape == (n, u)
+            assert tiled.shape == (n, sets, u)
+            assert np.max(np.abs(flat[:, None] - tiled)) <= 1e-12
+            # distinct sets: each must match its own flat-vector run
+            thetas = rng.uniform(-np.pi, np.pi, (sets, model.num_params))
+            per_set = vqc.run_circuit_batch(model, thetas, observations)
+            for s in range(sets):
+                own = vqc.run_circuit_batch(model, thetas[s], observations)
+                assert np.max(np.abs(per_set[:, s] - own)) <= 1e-12
 
     @pytest.mark.parametrize("observations", [
         [4], [-1], [0.5], [True], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]])
@@ -339,47 +340,68 @@ class TestRunCircuitBatch:
         model = VqcModel.random(4, 2, seed=63)
         n = model.num_params
         assert vqc.output_states(model, empty).shape == (0, 16)
-        for thetas in (model.params, np.zeros((0, n))):
-            assert vqc.run_circuit_batch(model, thetas, empty).shape == (0, 4)
+        for thetas, shape in [(model.params, (0, 4)),
+                              (np.zeros((0, n)), (0, 0, 4)),
+                              (np.zeros((3, n)), (0, 3, 4))]:
+            assert vqc.run_circuit_batch(model, thetas, empty).shape == shape
         for shift in (False, True):
             grads = vqc.grad_batch(model, np.zeros((0, 4)), empty,
                                    parameter_shift=shift)
             assert grads.shape == (0, n)
 
-    @pytest.mark.parametrize("shape", [(36,), (2, 36), (30,), (3, 24),
+    @pytest.mark.parametrize("shape", [(36,), (2, 36), (30,), (),
                                        (1, 2, 24)])
     @pytest.mark.parametrize("observations", [[0, 5], np.zeros((2, 4))])
     def test_parameter_shape_checked(self, shape, observations):
         # a 36-entry vector must not run as a 3-layer circuit
         model = VqcModel(4, 2)
-        want = (r"expected parameters of shape \(24,\) or \(2, 24\), "
+        want = (r"expected parameters of shape \(24,\) or \(S, 24\), "
                 rf"got shape \({', '.join(map(str, shape))},?\)")
         with pytest.raises(ValueError, match=want):
             vqc.run_circuit_batch(model, np.zeros(shape), observations)
+        # three sets of 24, whatever the observation count
+        z = vqc.run_circuit_batch(model, np.zeros((3, 24)), observations)
+        assert z.shape == (2, 3, 4)
+
+    @pytest.mark.parametrize("depth, sets, n", [
+        (0, 5, 2), (0, 0, 2), (0, 5, 0), (2, 0, 3), (2, 5, 0), (2, 0, 0),
+        (1, 1, 3)])
+    def test_set_batch_shape(self, depth, sets, n, engine_path):
+        # a set batch is (n, S, U) also where no layer broadcasts the states
+        rng = np.random.default_rng(66)
+        model = VqcModel.random(3, depth, seed=66)
+        thetas = rng.uniform(-np.pi, np.pi, (sets, model.num_params))
+        for observations in (rng.integers(0, 8, n), rng.normal(size=(n, 3))):
+            z = vqc.run_circuit_batch(model, thetas, observations)
+            assert z.shape == (n, sets, 3)
+            for s in range(sets):
+                own = vqc.run_circuit_batch(model, thetas[s], observations)
+                assert np.max(np.abs(z[:, s] - own), initial=0) <= 1e-12
 
 
 class TestRowEngine:
-    """The per-row engine against row-by-row shared-parameter runs, to
-    1e-12: distinct observations are encoded once, and a layer whose
-    angles are equal in every row runs in the shared form."""
+    """The parameter-set engine against row-by-row flat-vector runs on
+    both engine paths, to 1e-12: each set runs on every observation, and
+    a layer whose angles are equal in every set runs in the shared form."""
 
     @staticmethod
-    def row_thetas(rng, model, n, shared):
-        """(n, 3UL) parameters whose layers in ``shared`` are the same in
-        every row; in each other layer, some rows after the first differ
+    def set_thetas(rng, model, sets, shared):
+        """(sets, 3UL) parameters whose layers in ``shared`` are the same in
+        every set; in each other layer, some sets after the first differ
         in one angle, as a parameter shift does."""
-        thetas = np.tile(model.params, (n, 1))
+        thetas = np.tile(model.params, (sets, 1))
         layers = vqc.layer_view(thetas, model.num_qubits)
         for layer in set(range(model.depth)) - set(shared):
-            rows = rng.permutation(np.arange(1, n))[:rng.integers(1, n)]
+            picked = rng.permutation(np.arange(1, sets))[
+                :rng.integers(1, sets)]
             kind, wire = rng.integers(3), rng.integers(model.num_qubits)
-            layers[rows, layer, kind, wire] += rng.uniform(0.1, 1.0)
+            layers[picked, layer, kind, wire] += rng.uniform(0.1, 1.0)
         return thetas
 
     @pytest.mark.parametrize("num_qubits", range(1, 9))
-    def test_matches_row_by_row(self, num_qubits):
+    def test_matches_row_by_row(self, num_qubits, monkeypatch):
         rng = np.random.default_rng(1410 + num_qubits)
-        u, n = num_qubits, 4
+        u, n, sets = num_qubits, 4, 5
         for depth, entangler in itertools.product(range(4),
                                                   ("chain", "ring")):
             model = VqcModel(u, depth,
@@ -393,12 +415,14 @@ class TestRowEngine:
             for observations, shared in itertools.product(
                     [basis, vectors] + repeated,
                     [all_layers, all_layers[::2], all_layers[1:], ()]):
-                thetas = self.row_thetas(rng, model, n, shared)
+                thetas = self.set_thetas(rng, model, sets, shared)
                 got = vqc.run_circuit_batch(model, thetas, observations)
-                want = [vqc.run_circuit_batch(model, thetas[b],
-                                              observations[b:b + 1])[0]
-                        for b in range(n)]
-                assert np.max(np.abs(got - want)) <= 1e-12
+                assert got.shape == (n, sets, u)
+                for limit in (simcore.DEFAULT_QUBIT_CAP, 0):  # both paths
+                    monkeypatch.setattr(vqc, "BLOCK_MAX_QUBITS", limit)
+                    want = [[vqc.run_circuit_batch(model, theta, [obs])[0]
+                             for obs in observations] for theta in thetas]
+                    assert np.max(np.abs(got.swapaxes(0, 1) - want)) <= 1e-12
 
 
 class TestEnginePaths:
@@ -628,7 +652,7 @@ class TestGradients:
 
         def counted(model, thetas, observations,
                     original=vqc.run_circuit_batch):
-            batches.append(len(thetas))
+            batches.append((len(thetas), len(observations)))
             return original(model, thetas, observations)
 
         def encoding(model, obs, original=vqc._input_states):
@@ -642,12 +666,13 @@ class TestGradients:
         observations = np.random.default_rng(1421).normal(size=(n, u))
         vqc.grad_batch(model, np.ones((n, u)), observations,
                        parameter_shift=True)
-        assert batches == [2 * 3 * u * n] * depth
+        # per layer: its 2 * 3U shifted sets on the n observations
+        assert batches == [(2 * 3 * u, n)] * depth
         assert encoded == [n] * depth
         batches.clear()
         encoded.clear()
         finite_diff_grad(model, observations[0], np.ones(u))
-        assert batches == [2 * 3 * u] * depth
+        assert batches == [(2 * 3 * u, 1)] * depth
         assert encoded == [1] * depth
 
     def test_parameter_shift_rejects_psi(self):
@@ -806,6 +831,8 @@ class TestParams:
     @pytest.mark.parametrize("build, named", [
         (lambda: vqc.entangler_pairs(3, "star"), "star"),
         (lambda: VqcModel.random(3, 2, seed=0, init_scale=-1.0), "init_scale"),
+        (lambda: VqcModel.random(3, 2, seed=0, init_scale=1e308),
+         "init_scale must lie in"),
     ])
     def test_bad_argument_named(self, build, named):
         with pytest.raises(ValueError, match=named):
