@@ -89,8 +89,6 @@ class QrlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
         for name in ("episodes", "warmup", "init_scale"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -100,8 +98,6 @@ class QrlConfig:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0 < self.epsilon_decay <= 1:
             raise ValueError("epsilon_decay must lie in (0, 1]")
-        if self.target_sync_interval < 1:
-            raise ValueError("target_sync_interval must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.batch_size > self.buffer_capacity:
@@ -110,7 +106,7 @@ class QrlConfig:
                 f"buffer_capacity ({self.buffer_capacity})")
         # each raises naming its field when invalid
         spec = make_env(self.env).spec
-        VqcModel(self.num_qubits, self.depth, entangler=self.entangler)
+        model = VqcModel(self.num_qubits, self.depth, entangler=self.entangler)
         optim.make_optimizer(self.optimizer, self.lr)
         Loss(self.loss, self.huber_delta)
         if spec.discrete and 2 ** self.num_qubits < spec.observation_size:
@@ -119,14 +115,26 @@ class QrlConfig:
         if not spec.discrete and self.num_qubits != spec.observation_size:
             raise ValueError(
                 f"{self.env} needs num_qubits == {spec.observation_size}")
+        QrlAgent(model, spec.action_count, self.gamma,
+                 self.target_sync_interval)
 
 
 class QrlAgent:
     """Online model and per-action output scales, and a frozen copy of
-    both: ``target_params`` and ``target_action_scale``."""
+    both: ``target_params`` and ``target_action_scale``.  Action a reads
+    wire a, so there are 1 to U actions."""
 
     def __init__(self, online: VqcModel, action_count: int, gamma: float,
                  target_sync_interval: int):
+        if not 1 <= action_count <= online.num_qubits:
+            raise ValueError(
+                f"action_count must lie in [1, {online.num_qubits}], one "
+                f"wire and action_scale entry per action, got {action_count}")
+        if not 0 < gamma < 1:
+            raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+        if target_sync_interval < 1:
+            raise ValueError(f"target_sync_interval must be >= 1, "
+                             f"got {target_sync_interval}")
         self.online = online
         self.action_count = action_count
         self.action_scale = np.ones(action_count)
@@ -328,19 +336,15 @@ def agent_to_json(agent: QrlAgent) -> str:
 
 def agent_from_json(text: str) -> QrlAgent:
     model, doc = vqc.read_checkpoint(text, CHECKPOINT_KEYS)
-    scale, gamma, step = doc["action_scale"], doc["gamma"], doc["step"]
-    interval = doc["target_sync_interval"]
-    for key, ok, rule in (
-            ("action_scale", 1 <= len(scale) <= model.num_qubits,
-             f"have 1 to {model.num_qubits} entries, one per action"),
-            ("gamma", 0 < gamma < 1, "lie in (0, 1)"),
-            ("target_sync_interval", interval >= 1, "be >= 1"),
-            ("step", step >= 0, "be >= 0")):
-        if not ok:
-            raise vqc.ModelFormatError(
-                f"checkpoint {key} must {rule}, got {doc[key]}")
-    agent = QrlAgent(model, len(scale), gamma, interval)
-    agent.action_scale = np.array(scale, dtype=np.float64)
-    agent.step = step
+    if doc["step"] < 0:
+        raise vqc.ModelFormatError(
+            f"checkpoint step must be >= 0, got {doc['step']}")
+    try:
+        agent = QrlAgent(model, len(doc["action_scale"]), doc["gamma"],
+                         doc["target_sync_interval"])
+    except ValueError as exc:
+        raise vqc.ModelFormatError(f"checkpoint {exc}") from None
+    agent.action_scale = np.array(doc["action_scale"], dtype=np.float64)
+    agent.step = doc["step"]
     agent.sync_target()
     return agent

@@ -8,13 +8,14 @@ qubits index 2 (binary ``10``) means qubit 0 in |1> and qubit 1 in |0>.
 A gate on its own (:func:`apply_gate`) is one contraction of its small
 matrix with the gate's wire axes of the amplitudes, viewed as U axes of
 size 2.  The circuit engine runs two layer kernels instead: a layer's
-CNOTs as one composed permutation (:func:`apply_cnot_batch`), and its
-rotations on every wire (:func:`apply_rotation_batch`) as one matmul per
-group of :data:`ROTATION_GROUP` adjacent wires, by the Kronecker product
-of their 2x2 matrices: at most 16x16, and so the whole 2^U x 2^U layer
-for U <= 4.  (:mod:`vqlab.vqc` also holds dense per-layer blocks for
-circuits of at most ``vqc.BLOCK_MAX_QUBITS`` qubits, built by running
-these kernels on the identity.)  A dense matrix-vector oracle
+CNOTs as one composed permutation (:func:`apply_cnot_batch`), and one
+2x2 matrix on every wire (:func:`apply_rotation_batch`), which knows no
+gate kinds: the caller composes each wire's rotations into its matrix.
+That kernel is one matmul per group of :data:`ROTATION_GROUP` adjacent
+wires, by the Kronecker product of their matrices: at most 16x16, and so
+the whole 2^U x 2^U layer for U <= 4.  (:mod:`vqlab.vqc` also holds dense
+per-layer blocks for circuits of at most ``vqc.BLOCK_MAX_QUBITS`` qubits,
+built by running these kernels on the identity.)  A dense matrix-vector oracle
 (:func:`dense_apply_oracle`) exists purely for cross-checking the fast
 path in tests.
 """
@@ -222,49 +223,23 @@ def _cnot_index(num_qubits: int, pairs: tuple) -> np.ndarray:
     return index
 
 
-# (A, B) of each rotation from the cosine and sine of its half angle
-_SU2_OF = {"RX": lambda c, s: (c, -1j * s), "RY": lambda c, s: (c, -s),
-           "RZ": lambda c, s: (c - 1j * s, 0 * s)}
+def apply_rotation_batch(amps: np.ndarray, num_qubits: int,
+                         rs: np.ndarray) -> np.ndarray:
+    """One 2x2 matrix on every wire: ``rs[:, :, w]`` acts on wire w.
 
-
-def apply_rotation_batch(amps: np.ndarray, num_qubits: int, kinds,
-                         theta) -> np.ndarray:
-    """The tuple ``kinds`` of RX/RY/RZ, applied in order on every wire.
-
-    ``theta`` holds one angle per kind and wire: shape (k, U), shared by
-    every row, or (B..., k, U), broadcast against the rows as in a matmul:
-    (n, 1, 2^U) states at (S, k, U) angles give (n, S, 2^U).  Each wire's
-    rotations compose into one R = [[a, b], [-conj(b), conj(a)]]; a group
-    of ROTATION_GROUP adjacent wires is one matmul by their Kronecker product.
+    ``rs`` has shape (2, 2, U), shared by every row, or (2, 2, U, B...),
+    whose batch axes broadcast against the rows as in a matmul: (n, 1,
+    2^U) states at (2, 2, U, S) matrices give (n, S, 2^U).  A group of
+    ROTATION_GROUP adjacent wires is one matmul by the Kronecker product
+    of their matrices.  The group's wires are always the most significant
+    ones: the matmul moves them to the least significant end, which brings
+    the next group to the top and, after the last group, every wire back
+    to its place.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if (not set(kinds) <= set(ROTATION_KINDS)
-            or theta.shape[-2:] != (len(kinds), num_qubits)):
-        raise ValueError(f"rotation kinds {kinds!r} need one angle each per "
-                         f"row and wire, got angles of shape {theta.shape}")
-    # angles as (k, U, B...): a and b come out as (U, B...), so R below
-    # holds the rows on its last axis, along which the Kronecker products
-    # of _rotate_all run
-    rows = tuple(range(theta.ndim - 2))
-    half = theta.transpose((len(rows), len(rows) + 1) + rows) / 2
-    cos, sin = np.cos(half), np.sin(half)
-    a, b = _SU2_OF[kinds[0]](cos[0], sin[0])
-    for k, c, s in zip(kinds[1:], cos[1:], sin[1:]):
-        ka, kb = _SU2_OF[k](c, s)
-        a, b = ka * a - kb * np.conj(b), ka * b + kb * np.conj(a)
-    return _rotate_all(amps, num_qubits,
-                       np.array([[a, b], [-np.conj(b), np.conj(a)]]))
-
-
-def _rotate_all(amps: np.ndarray, num_qubits: int,
-                rs: np.ndarray) -> np.ndarray:
-    """Every wire's R, from (2, 2, U, B...) ``rs``, one group of adjacent
-    wires per matmul, which broadcasts the batch axes of ``amps`` and R.
-
-    The group's wires are always the most significant ones: the matmul
-    moves them to the least significant end, which brings the next group
-    to the top and, after the last group, every wire back to its place.
-    """
+    rs = np.asarray(rs)
+    if rs.shape[:3] != (2, 2, num_qubits):
+        raise ValueError(f"need one 2x2 matrix per wire, shape (2, 2, "
+                         f"{num_qubits}, ...), got shape {rs.shape}")
     dim = 2 ** num_qubits
     for start in range(0, num_qubits, ROTATION_GROUP):
         block = rs[:, :, start]

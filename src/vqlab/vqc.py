@@ -20,8 +20,9 @@ Evaluation is vectorized and runs layer by layer: a batch of circuits is
 one (B, 2^U) amplitude array, and :func:`layer_view` reads the flat
 parameters, one vector or a stack of S parameter sets, as layer angles.
 The per-gate path applies each layer as two simcore kernel calls, its
-entangler CNOTs and then its rotations on every wire, and un-applies it
-with the inverse rotations and the CNOTs in reverse order.
+entangler CNOTs and then each wire's R = RZ RY RX as one 2x2 matrix, and
+un-applies it with each R's conjugate transpose and the CNOTs in reverse
+order.
 
 Small circuits take the block path.  With one shared parameter vector
 and at most :data:`BLOCK_MAX_QUBITS` qubits, each layer is one dense
@@ -210,10 +211,25 @@ def layer_view(params: np.ndarray, num_qubits: int) -> np.ndarray:
     return params.reshape(params.shape[:-1] + (depth, 3, num_qubits))
 
 
+def _layer_rotations(angles: np.ndarray) -> np.ndarray:
+    """Each wire's R = RZ(gamma) RY(beta) RX(alpha) at (..., 3, U)
+    :func:`layer_view` angles, as (2, 2, U, ...) matrices for
+    :func:`simcore.apply_rotation_batch`, in closed form from the cosines
+    c and sines s of the half angles."""
+    # angles as (3, U, ...): a and b come out as (U, ...), so R holds the
+    # batch axes last, along which the kernel's Kronecker products run
+    half = np.moveaxis(angles, (-2, -1), (0, 1)) / 2
+    (ca, cb, cg), (sa, sb, sg) = np.cos(half), np.sin(half)
+    phase = cg - 1j * sg
+    a = phase * (cb * ca + 1j * sb * sa)
+    b = -phase * (sb * ca + 1j * cb * sa)
+    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
+
+
 def _apply_layers(amps: np.ndarray, num_qubits: int, pairs: list,
                   angles: np.ndarray) -> np.ndarray:
     """Layers in order, two simcore kernel calls each: the entangler CNOTs
-    ``pairs`` as one permutation, then one fused RX-RY-RZ on every wire.
+    ``pairs`` as one permutation, then each wire's :func:`_layer_rotations`.
     ``angles`` is a :func:`layer_view`, (L, 3, U) shared by every state or
     (S, L, 3, U), one set per column of (n, 1 or S, 2^U) ``amps``.  A
     layer whose angles are equal in every set runs in the shared form; a
@@ -223,17 +239,17 @@ def _apply_layers(amps: np.ndarray, num_qubits: int, pairs: list,
         here = angles[..., layer, :, :]
         if here.ndim == 3 and len(here) and np.all(here == here[0]):
             here = here[0]
-        amps = simcore.apply_rotation_batch(
-            amps, num_qubits, ("RX", "RY", "RZ"), here)
+        amps = simcore.apply_rotation_batch(amps, num_qubits,
+                                            _layer_rotations(here))
     return amps
 
 
 def _unapply_layer(amps: np.ndarray, num_qubits: int, pairs: list,
                    angles: np.ndarray) -> np.ndarray:
     """Undo one layer of :func:`_apply_layers` at its shared (3, U)
-    ``angles``: the inverse rotations, then the CNOTs in reverse order."""
+    ``angles``: each wire's R^dagger, then the CNOTs in reverse order."""
     amps = simcore.apply_rotation_batch(
-        amps, num_qubits, ("RZ", "RY", "RX"), -angles[::-1])
+        amps, num_qubits, _layer_rotations(angles).swapaxes(0, 1).conj())
     return simcore.apply_cnot_batch(amps, num_qubits, pairs[::-1])
 
 
@@ -257,7 +273,7 @@ def _circuit_blocks(num_qubits: int, entangler: str,
         eye, num_qubits, entangler_pairs(num_qubits, entangler))
     layers = tuple(simcore.apply_rotation_batch(
         permuted[None].repeat(len(angles), axis=0), num_qubits,
-        ("RX", "RY", "RZ"), angles[:, None]))
+        _layer_rotations(angles[:, None])))
     product = functools.reduce(np.matmul, layers, eye)
     z_table = simcore.expect_z_batch(product, num_qubits, range(num_qubits))
     for array in layers + (product, z_table):

@@ -270,6 +270,23 @@ class TestTrainStep:
             assert synced == (step % 3 == 0)
 
 
+class TestAgentValidation:
+    """QrlAgent rejects each bad hyper-parameter when built, not at the
+    first train step; QrlConfig and agent_from_json reach this check."""
+
+    @pytest.mark.parametrize("field, args", [
+        ("gamma", (4, 1.5, 50)),
+        ("gamma", (4, 0.0, 50)),
+        ("gamma", (4, float("nan"), 50)),
+        ("target_sync_interval", (4, 0.9, 0)),
+        ("action_count", (0, 0.9, 50)),
+        ("action_count", (5, 0.9, 50)),
+    ])
+    def test_bad_argument_named(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            QrlAgent(vqc.VqcModel(4, 2), *args)
+
+
 class TestTraining:
     def test_zero_episodes_keeps_initial_policy(self):
         config = QrlConfig(env="frozenlake", episodes=0, seed=10)

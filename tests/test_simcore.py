@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -301,6 +302,38 @@ def _on_wire(theta, wire, num_qubits):
     return out
 
 
+def _composed(kinds, angles):
+    """The (2, 2, U, B...) matrices apply_rotation_batch takes for ``kinds``
+    applied in order at (B..., k, U) ``angles``: per wire and row, the
+    product of their gate_matrix entries (the identity at angle 0)."""
+    angles = np.asarray(angles, dtype=np.float64)
+    rows, u = angles.shape[:-2], angles.shape[-1]
+    rs = np.empty((2, 2, u) + rows, complex)
+    for row in np.ndindex(rows):
+        for w in range(u):
+            r = np.eye(2)
+            for kind, angle in zip(kinds, angles[row][:, w]):
+                r = gate_matrix(kind, float(angle)) @ r
+            rs[(slice(None), slice(None), w) + row] = r
+    return rs
+
+
+def _kron_reference(rs, amps):
+    """Each row of ``amps`` times the Kronecker product of the U matrices
+    of (2, 2, U) ``rs``, or of (2, 2, U, B) ``rs``'s column for that row."""
+    if rs.ndim == 3:
+        rs = np.broadcast_to(rs[..., None], rs.shape + (len(amps),))
+    return np.stack([
+        functools.reduce(np.kron, [rs[:, :, w, b] for w in range(rs.shape[2])])
+        @ amps[b] for b in range(len(amps))])
+
+
+def _random_matrices(rng, shape):
+    """(2, 2) + ``shape`` complex matrices that keep a state's norm on
+    average, so a product over many wires stays near 1."""
+    return _random_amps(rng, (2, 2) + shape) / 2
+
+
 def _gate_by_gate(gates, num_qubits, amps):
     """Gates applied in order to the state ``amps`` through apply_gate."""
     state = simcore.Statevector(num_qubits, amps)
@@ -317,8 +350,9 @@ def kernel_form(request):
 
 
 class TestFusedRotation:
-    """A tuple of kinds on one wire (every-wire angles, zero elsewhere)
-    against apply_gate and the dense oracle, on every wire, to 1e-12."""
+    """One wire's matrix (the identity on every other wire) against
+    apply_gate, the dense oracle and the Kronecker reference, on every
+    wire, to 1e-12."""
 
     KINDS = ("RX", "RY", "RZ")
 
@@ -331,9 +365,8 @@ class TestFusedRotation:
             shared = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
             rows = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, 3))
             for theta in (shared, rows):
-                fused = simcore.apply_rotation_batch(
-                    amps, num_qubits, self.KINDS,
-                    _on_wire(theta, wire, num_qubits))
+                rs = _composed(self.KINDS, _on_wire(theta, wire, num_qubits))
+                fused = simcore.apply_rotation_batch(amps, num_qubits, rs)
                 row_angles = np.broadcast_to(theta, (batch, 3))
                 seq = np.stack([_gate_by_gate(
                     [GateOp(kind, (wire,), float(angle))
@@ -345,6 +378,14 @@ class TestFusedRotation:
                     for b in range(batch)])
                 assert np.max(np.abs(fused - seq)) <= 1e-12
                 assert np.max(np.abs(fused - dense)) <= 1e-12
+            # any complex 2x2 matrix on the wire, shared and per row
+            for shape in ((), (batch,)):
+                rs = np.zeros((2, 2, num_qubits) + shape, complex)
+                rs[0, 0] = rs[1, 1] = 1.0
+                rs[:, :, wire] = _random_matrices(rng, shape)
+                got = simcore.apply_rotation_batch(amps, num_qubits, rs)
+                assert np.max(np.abs(got - _kron_reference(rs, amps))) \
+                    <= 1e-12
 
     @pytest.mark.parametrize("kind", ROTATION_KINDS)
     def test_single_kind_scalar_and_per_row(self, kind, kernel_form):
@@ -353,12 +394,12 @@ class TestFusedRotation:
         for wire in range(3):
             scalar = float(rng.uniform(-2 * np.pi, 2 * np.pi))
             rows = rng.uniform(-2 * np.pi, 2 * np.pi, 4)
-            got = simcore.apply_rotation_batch(amps, 3, (kind,),
-                                               _on_wire([scalar], wire, 3))
+            got = simcore.apply_rotation_batch(
+                amps, 3, _composed((kind,), _on_wire([scalar], wire, 3)))
             want = amps @ _dense_rotations((kind,), [scalar], wire, 3).T
             assert np.max(np.abs(got - want)) <= 1e-12
             got = simcore.apply_rotation_batch(
-                amps, 3, (kind,), _on_wire(rows[:, None], wire, 3))
+                amps, 3, _composed((kind,), _on_wire(rows[:, None], wire, 3)))
             want = np.stack([_dense_rotations((kind,), [rows[b]], wire, 3)
                              @ amps[b] for b in range(4)])
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -372,8 +413,8 @@ class TestFusedRotation:
             shared = rng.uniform(-np.pi, np.pi, 3)
             rows = rng.uniform(-np.pi, np.pi, (5, 3))
             for theta in (shared, rows):
-                got = simcore.apply_rotation_batch(pair, 4, kinds,
-                                                   _on_wire(theta, wire, 4))
+                got = simcore.apply_rotation_batch(
+                    pair, 4, _composed(kinds, _on_wire(theta, wire, 4)))
                 angles = np.broadcast_to(theta, (5, 3))
                 for half in range(2):
                     want = np.stack([
@@ -382,14 +423,12 @@ class TestFusedRotation:
                     assert np.max(np.abs(got[half] - want)) <= 1e-12
 
     def test_angle_count_checked(self):
+        # one matrix per wire: neither fewer nor more
         amps = zero_state(2).amps[None, :]
-        with pytest.raises(ValueError):
-            simcore.apply_rotation_batch(amps, 2, ("RX", "RY"), [[0.1, 0.1]])
-        with pytest.raises(ValueError):
-            simcore.apply_rotation_batch(amps, 2, ("RX", "RY"), 0.1)
-        with pytest.raises(ValueError):
-            simcore.apply_rotation_batch(amps, 2, ("RX", "X"),
-                                         np.zeros((2, 2)))
+        for rs in (np.zeros((2, 2, 1)), np.zeros((2, 2, 3)),
+                   np.zeros((2, 2, 1, 1)), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="2x2 matrix per wire"):
+                simcore.apply_rotation_batch(amps, 2, rs)
 
 
 def _dense_apply(gates, num_qubits, amps):
@@ -401,7 +440,8 @@ def _dense_apply(gates, num_qubits, amps):
 
 class TestLayerKernels:
     """The composed-pairs CNOT call and the every-wire rotation call
-    against sequential single-gate calls and the dense oracle, to 1e-12."""
+    against sequential single-gate calls, the dense oracle and the
+    Kronecker reference, to 1e-12."""
 
     KINDS = ("RX", "RY", "RZ")
 
@@ -428,10 +468,15 @@ class TestLayerKernels:
         rng = np.random.default_rng(80 + u)
         batch = 2
         amps = _random_amps(rng, (batch, 2 ** u))
+        for rs in (_random_matrices(rng, (u,)),
+                   _random_matrices(rng, (u, batch))):
+            got = simcore.apply_rotation_batch(amps, u, rs)
+            assert np.max(np.abs(got - _kron_reference(rs, amps))) <= 1e-12
         shared = rng.uniform(-2 * np.pi, 2 * np.pi, (3, u))
         rows = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, 3, u))
         for theta in (shared, rows):
-            got = simcore.apply_rotation_batch(amps, u, self.KINDS, theta)
+            got = simcore.apply_rotation_batch(
+                amps, u, _composed(self.KINDS, theta))
             angles = np.broadcast_to(theta, (batch, 3, u))
             for b in range(batch):
                 gates = [GateOp(kind, (w,), float(angles[b, k, w]))
@@ -450,8 +495,8 @@ class TestLayerKernels:
         for kind in ROTATION_KINDS:
             for theta in (rng.uniform(-np.pi, np.pi, u),
                           rng.uniform(-np.pi, np.pi, (3, u))):
-                got = simcore.apply_rotation_batch(amps, u, (kind,),
-                                                   theta[..., None, :])
+                got = simcore.apply_rotation_batch(
+                    amps, u, _composed((kind,), theta[..., None, :]))
                 angles = np.broadcast_to(theta, (3, u))
                 seq = np.stack([_gate_by_gate(
                     [GateOp(kind, (w,), float(angles[b, w]))
@@ -464,13 +509,11 @@ class TestLayerKernels:
         u = num_qubits
         rng = np.random.default_rng(100 + u)
         pair = _random_amps(rng, (2, 4, 2 ** u))
-        kinds = ("RZ", "RY", "RX")
-        for theta in (rng.uniform(-np.pi, np.pi, (3, u)),
-                      rng.uniform(-np.pi, np.pi, (4, 3, u))):
-            got = simcore.apply_rotation_batch(pair, u, kinds, theta)
+        for rs in (_random_matrices(rng, (u,)),
+                   _random_matrices(rng, (u, 4))):
+            got = simcore.apply_rotation_batch(pair, u, rs)
             for half in range(2):
-                want = simcore.apply_rotation_batch(pair[half], u, kinds,
-                                                    theta)
+                want = simcore.apply_rotation_batch(pair[half], u, rs)
                 assert np.max(np.abs(got[half] - want)) <= 1e-12
         pairs = [(w, (w + 1) % u) for w in range(u)]
         got = simcore.apply_cnot_batch(pair, u, pairs)
@@ -480,16 +523,16 @@ class TestLayerKernels:
 
     @pytest.mark.parametrize("num_qubits", [1, 3, 4, 5, 9])
     def test_set_angles_broadcast_states(self, num_qubits):
-        # (n, 1, 2^U) states at (S, 3, U) angles: every set on every state
+        # (n, 1, 2^U) states at (2, 2, U, S) matrices: every set on every
+        # state
         u = num_qubits
         rng = np.random.default_rng(120 + u)
         amps = _random_amps(rng, (3, 1, 2 ** u))
-        theta = rng.uniform(-np.pi, np.pi, (5, 3, u))
-        got = simcore.apply_rotation_batch(amps, u, self.KINDS, theta)
+        rs = _random_matrices(rng, (u, 5))
+        got = simcore.apply_rotation_batch(amps, u, rs)
         assert got.shape == (3, 5, 2 ** u)
         for s in range(5):
-            shared = simcore.apply_rotation_batch(amps[:, 0], u, self.KINDS,
-                                                  theta[s])
+            shared = simcore.apply_rotation_batch(amps[:, 0], u, rs[..., s])
             assert np.max(np.abs(got[:, s] - shared)) <= 1e-12
 
     @pytest.mark.parametrize("num_qubits", [4, 12])
@@ -497,30 +540,30 @@ class TestLayerKernels:
         u = num_qubits
         rng = np.random.default_rng(110 + u)
         amps = _random_amps(rng, (16, 2 ** u))
-        for theta in (rng.uniform(-np.pi, np.pi, (3, u)),
-                      rng.uniform(-np.pi, np.pi, (16, 3, u))):
-            first = simcore.apply_rotation_batch(amps, u, self.KINDS, theta)
+        for rs in (_random_matrices(rng, (u,)),
+                   _random_matrices(rng, (u, 16))):
+            first = simcore.apply_rotation_batch(amps, u, rs)
             for _ in range(3):
-                again = simcore.apply_rotation_batch(amps, u, self.KINDS,
-                                                     theta)
+                again = simcore.apply_rotation_batch(amps, u, rs)
                 assert np.array_equal(first, again)
 
     def test_empty_batch(self):
         for u in (1, 4, 5):
             amps = np.zeros((0, 2 ** u), complex)
-            for theta in (np.zeros((3, u)), np.zeros((0, 3, u))):
-                got = simcore.apply_rotation_batch(amps, u, self.KINDS, theta)
+            for rs in (np.zeros((2, 2, u)), np.zeros((2, 2, u, 0))):
+                got = simcore.apply_rotation_batch(amps, u, rs)
                 assert got.shape == (0, 2 ** u)
             pairs = [(w, (w + 1) % u) for w in range(u - 1)]
             assert simcore.apply_cnot_batch(amps, u, pairs).shape == amps.shape
 
     def test_wires_and_angles_checked(self):
-        # the angles' last axis is the wires: it must cover all U of them
+        # the leading axes are a 2x2 matrix, then the U wires
         amps = zero_state(3).amps[None, :]
-        for theta in (np.zeros(3), np.zeros((2, 2)), np.zeros((2, 4)),
-                      np.zeros((3, 3)), np.zeros((4, 3, 3))):
-            with pytest.raises(ValueError, match="angles of shape"):
-                simcore.apply_rotation_batch(amps, 3, ("RX", "RY"), theta)
+        for rs in (np.zeros(3), np.zeros((3, 2, 2)), np.zeros((2, 3, 3)),
+                   np.zeros((3, 3, 3)), np.zeros((1, 2, 3)),
+                   np.zeros((4, 2, 2, 3))):
+            with pytest.raises(ValueError, match="2x2 matrix per wire"):
+                simcore.apply_rotation_batch(amps, 3, rs)
 
 
 class TestExpectZSequence:
@@ -543,28 +586,30 @@ class TestKernelsLeaveInputsAlone:
 
     def _calls(self):
         rng = np.random.default_rng(53)
-        rows = rng.uniform(-np.pi, np.pi, (3, 3))
+        shared = _random_matrices(rng, (3,))
+        rows = _random_matrices(rng, (3, 3))
         return [
             lambda a: simcore.apply_x_batch(a, 3, 1),
             lambda a: simcore.apply_cnot_batch(a, 3, [(0, 2)]),
             lambda a: simcore.apply_cnot_batch(a, 3, [(0, 1), (2, 0)]),
-            lambda a: simcore.apply_rotation_batch(a, 3, ("RY",), rows[:1]),
-            lambda a: simcore.apply_rotation_batch(a, 3, ("RX", "RY", "RZ"),
-                                                   rows),
+            lambda a: simcore.apply_rotation_batch(a, 3, shared),
+            lambda a: simcore.apply_rotation_batch(a, 3, rows),
             lambda a: simcore.apply_rotation_batch(
-                a, 3, ("RZ", "RX"), np.stack([rows[:2]] * 3)),
+                a, 3, rows.swapaxes(0, 1).conj()),
             lambda a: simcore.expect_z_batch(a, 3, [1]),
             lambda a: simcore.expect_z_batch(a, 3, [2, 0]),
             lambda a: apply_gate(simcore.Statevector(3, a[1]),
                                  GateOp("RY", (1,), 0.4)).amps,
             lambda a: apply_gate(simcore.Statevector(3, a[1]),
                                  GateOp("CZ", (2, 0))).amps,
-        ]
+        ], (shared, rows)
 
     def test_input_and_tables_unchanged(self, kernel_form):
         rng = np.random.default_rng(54)
         amps = _random_amps(rng, (3, 8))
-        for call in self._calls():
+        calls, matrices = self._calls()
+        matrices_before = [m.copy() for m in matrices]
+        for call in calls:
             before = amps.copy()
             first = call(amps)
             assert np.array_equal(amps, before)
@@ -572,6 +617,7 @@ class TestKernelsLeaveInputsAlone:
             first[...] = 7.0  # a write into the result reaches nothing else
             assert np.array_equal(amps, before)
             assert np.array_equal(call(amps), call(before))
+        assert all(map(np.array_equal, matrices, matrices_before))
         for table in (simcore._flip_index(3, 1), simcore._flip_index(3, 2, 0),
                       simcore.z_signs(3, (1,)), simcore.z_signs(3, (2, 0)),
                       simcore._cnot_index(3, ((0, 1), (2, 0)))):

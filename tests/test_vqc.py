@@ -542,6 +542,41 @@ class TestEnginePaths:
             vqc.grad_batch(model, upstreams, observations))
 
 
+class TestLayerRotations:
+    """_layer_rotations, the one statement of a layer's rotations, and the
+    per-gate un-apply by its conjugate transpose."""
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 1)])
+    def test_matches_gate_matrix_product(self, shape):
+        # (3, U) one layer, (L, 3, U) layers, (S, 3, U) sets, and the
+        # block build's (L, 1, 3, U)
+        rng = np.random.default_rng(65)
+        u = 3
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, shape + (3, u))
+        rs = vqc._layer_rotations(angles)
+        assert rs.shape == (2, 2, u) + shape
+        for index in np.ndindex(shape):
+            for w in range(u):
+                alpha, beta, gamma = angles[index][:, w]
+                want = (simcore.gate_matrix("RZ", gamma)
+                        @ simcore.gate_matrix("RY", beta)
+                        @ simcore.gate_matrix("RX", alpha))
+                got = rs[(slice(None), slice(None), w) + index]
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_unapply_undoes_apply(self, num_qubits):
+        u = num_qubits
+        rng = np.random.default_rng(66 + u)
+        amps = rng.normal(size=(3, 2 ** u)) + 1j * rng.normal(size=(3, 2 ** u))
+        for entangler in ("chain", "ring"):
+            pairs = vqc.entangler_pairs(u, entangler)
+            angles = rng.uniform(-np.pi, np.pi, (3, u))
+            there = vqc._apply_layers(amps, u, pairs, angles[None])
+            back = vqc._unapply_layer(there, u, pairs, angles)
+            assert np.max(np.abs(back - amps)) <= 1e-12
+
+
 class TestGradients:
     def test_single_qubit_closed_form(self):
         # RY(theta_enc) RY(beta) on |0>: d<Z>/dbeta = -sin(theta_enc + beta)
