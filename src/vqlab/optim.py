@@ -85,14 +85,14 @@ class Adam:
     """Bias-corrected Adam carrying its moment estimates ``m`` and ``v``
     (zeros at the first step) and its step count ``t``."""
 
-    def __init__(self, lr: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr: float = 0.01):
         if not lr > 0:
             raise ValueError(f"lr must be > 0, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = self.v = None
         self.t = 0
 
@@ -103,11 +103,11 @@ class Adam:
         if self.m.shape != params.shape:
             raise ValueError("optimizer state does not match parameter length")
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grads ** 2
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grads
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grads ** 2
+        m_hat = self.m / (1 - self.BETA1 ** self.t)
+        v_hat = self.v / (1 - self.BETA2 ** self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def make_optimizer(kind: str, lr: float):

@@ -89,11 +89,9 @@ class QrlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("episodes", "warmup", "init_scale"):
+        for name in ("episodes", "warmup", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.init_scale > vqc.MAX_INIT_SCALE:
-            raise ValueError(f"init_scale must be <= {vqc.MAX_INIT_SCALE:g}")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0 < self.epsilon_decay <= 1:
@@ -106,7 +104,8 @@ class QrlConfig:
                 f"buffer_capacity ({self.buffer_capacity})")
         # each raises naming its field when invalid
         spec = make_env(self.env).spec
-        model = VqcModel(self.num_qubits, self.depth, entangler=self.entangler)
+        model = VqcModel.random(self.num_qubits, self.depth, self.seed,
+                                self.init_scale, self.entangler)
         optim.make_optimizer(self.optimizer, self.lr)
         Loss(self.loss, self.huber_delta)
         if spec.discrete and 2 ** self.num_qubits < spec.observation_size:

@@ -15,9 +15,10 @@ That kernel is one matmul per group of :data:`ROTATION_GROUP` adjacent
 wires, by the Kronecker product of their matrices: at most 16x16, and so
 the whole 2^U x 2^U layer for U <= 4.  (:mod:`vqlab.vqc` also holds dense
 per-layer blocks for circuits of at most ``vqc.BLOCK_MAX_QUBITS`` qubits,
-built by running these kernels on the identity.)  A dense matrix-vector oracle
-(:func:`dense_apply_oracle`) exists purely for cross-checking the fast
-path in tests.
+built by running these kernels on the identity.)  The Z readout
+(:func:`expect_z_batch`) reads every wire at once.  A dense matrix-vector
+oracle (:func:`dense_apply_oracle`, fed by :func:`embed_gate`) exists
+purely for cross-checking the fast path in tests.
 """
 
 from __future__ import annotations
@@ -32,13 +33,38 @@ import numpy as np
 DEFAULT_QUBIT_CAP = 24
 ORACLE_QUBIT_CAP = 10
 
-FIXED_KINDS = ("X", "Y", "Z", "CNOT", "CZ")
+# the fixed gates; rotation RP reads its Pauli P here
+_MATRICES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+    "CNOT": np.array([[1, 0, 0, 0],
+                      [0, 1, 0, 0],
+                      [0, 0, 0, 1],
+                      [0, 0, 1, 0]], dtype=np.complex128),
+    "CZ": np.diag([1, 1, 1, -1]).astype(np.complex128),
+}
+
+FIXED_KINDS = tuple(_MATRICES)
 ROTATION_KINDS = ("RX", "RY", "RZ")
 TWO_QUBIT_KINDS = ("CNOT", "CZ")
 
 
 class ResourceLimitError(RuntimeError):
     """Raised when a request would exceed the configured qubit budget."""
+
+
+def _check_kind(kind: str, angle: Optional[float]) -> None:
+    """A known kind; a rotation takes a finite angle, a fixed gate none."""
+    if kind in ROTATION_KINDS:
+        if angle is None:
+            raise ValueError(f"{kind} requires an angle")
+        if not math.isfinite(angle):
+            raise ValueError(f"{kind} angle must be finite")
+    elif kind not in _MATRICES:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    elif angle is not None:
+        raise ValueError(f"{kind} takes no angle")
 
 
 @dataclass(frozen=True)
@@ -54,21 +80,13 @@ class GateOp:
     angle: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in FIXED_KINDS + ROTATION_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        _check_kind(self.kind, self.angle)
         want = 2 if self.kind in TWO_QUBIT_KINDS else 1
         if len(self.wires) != want:
             raise ValueError(
                 f"{self.kind} takes {want} wire(s), got {len(self.wires)}")
         if len(set(self.wires)) != len(self.wires):
             raise ValueError(f"{self.kind} wires must be distinct: {self.wires}")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None:
-                raise ValueError(f"{self.kind} requires an angle")
-            if not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} angle must be finite")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} takes no angle")
 
 
 @dataclass
@@ -106,28 +124,18 @@ def check_qubit_budget(num_qubits: int) -> None:
 
 def zero_state(num_qubits: int) -> Statevector:
     """|0...0> on ``num_qubits`` wires."""
-    check_qubit_budget(num_qubits)
-    amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(num_qubits, amps)
+    return basis_state(num_qubits, 0)
 
 
 def basis_state(num_qubits: int, index: int) -> Statevector:
     """Computational basis state |index> (big-endian bit pattern)."""
-    state = zero_state(num_qubits)
+    check_qubit_budget(num_qubits)
     if not 0 <= index < 2 ** num_qubits:
         raise ValueError(
             f"basis index {index} out of range for {num_qubits} qubit(s)")
-    state.amps[0] = 0.0
-    state.amps[index] = 1.0
-    return state
-
-
-_PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+    amps = np.zeros(2 ** num_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return Statevector(num_qubits, amps)
 
 
 def gate_matrix(kind: str, angle: Optional[float] = None) -> np.ndarray:
@@ -135,28 +143,12 @@ def gate_matrix(kind: str, angle: Optional[float] = None) -> np.ndarray:
 
     Rotations follow RP(theta) = cos(theta/2) I - i sin(theta/2) P.
     """
-    if kind in _PAULI:
-        if angle is not None:
-            raise ValueError(f"{kind} takes no angle")
-        return _PAULI[kind].copy()
-    if kind == "CNOT":
-        if angle is not None:
-            raise ValueError("CNOT takes no angle")
-        return np.array([[1, 0, 0, 0],
-                         [0, 1, 0, 0],
-                         [0, 0, 0, 1],
-                         [0, 0, 1, 0]], dtype=np.complex128)
-    if kind == "CZ":
-        if angle is not None:
-            raise ValueError("CZ takes no angle")
-        return np.diag([1, 1, 1, -1]).astype(np.complex128)
-    if kind in ROTATION_KINDS:
-        if angle is None:
-            raise ValueError(f"{kind} requires an angle")
-        pauli = _PAULI[kind[1]]
-        return (math.cos(angle / 2) * np.eye(2)
-                - 1j * math.sin(angle / 2) * pauli).astype(np.complex128)
-    raise ValueError(f"unknown gate kind {kind!r}")
+    _check_kind(kind, angle)
+    if angle is None:
+        return _MATRICES[kind].copy()
+    pauli = _MATRICES[kind[1]]
+    return (math.cos(angle / 2) * np.eye(2)
+            - 1j * math.sin(angle / 2) * pauli).astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +156,7 @@ def gate_matrix(kind: str, angle: Optional[float] = None) -> np.ndarray:
 # and return a new array; the input is never written.  These are the
 # kernels the vectorized circuit engine runs: the two layer kernels, the X
 # flip its adjoint reads derivatives with, and the Z readout.  Index and
-# sign tables are built on first use per (U, wires) and cached read-only.
+# sign tables are built on first use and cached read-only.
 
 # adjacent wires per dense block (2^4 x 2^4) of the every-wire rotation
 ROTATION_GROUP = 4
@@ -193,10 +185,10 @@ def _flip_index(num_qubits: int, wire: int,
 
 
 @functools.lru_cache(maxsize=64)
-def z_signs(num_qubits: int, wires: tuple[int, ...]) -> np.ndarray:
-    """(k, 2^U) read-only table: Z's eigenvalue, +1 or -1, on wire
-    ``wires[j]`` at each index."""
-    masks = np.array([[_wire_mask(num_qubits, w)] for w in wires])
+def z_signs(num_qubits: int) -> np.ndarray:
+    """(U, 2^U) read-only table: row w holds Z's eigenvalue on wire w,
+    +1 or -1, at each index."""
+    masks = np.array([[_wire_mask(num_qubits, w)] for w in range(num_qubits)])
     signs = np.where(np.arange(2 ** num_qubits) & masks, -1.0, 1.0)
     signs.setflags(write=False)
     return signs
@@ -257,10 +249,9 @@ def apply_rotation_batch(amps: np.ndarray, num_qubits: int,
     return amps
 
 
-def expect_z_batch(amps: np.ndarray, num_qubits: int, wires) -> np.ndarray:
-    """<Z> for each batch row on each of the k ``wires``, shape (..., k)."""
-    signs = z_signs(num_qubits, tuple(wires))
-    return (amps.real ** 2 + amps.imag ** 2) @ signs.T
+def expect_z_batch(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """<Z> for each batch row on every wire, shape (..., U)."""
+    return (amps.real ** 2 + amps.imag ** 2) @ z_signs(num_qubits).T
 
 
 def apply_gate(state: Statevector, gate: GateOp) -> Statevector:
@@ -298,38 +289,31 @@ def dense_apply_oracle(state: Statevector, full_unitary: np.ndarray) -> Statevec
 def embed_gate(gate: GateOp, num_qubits: int) -> np.ndarray:
     """Full 2^U x 2^U unitary for one gate: explicit tensor construction.
 
-    Companion to :func:`dense_apply_oracle`; deliberately naive.
+    Companion to :func:`dense_apply_oracle`; deliberately naive.  Entry
+    (row, col) is the gate matrix's entry at the bits of row and col on
+    the gate's wires (its first wire most significant) where the two
+    agree off them, and 0 elsewhere.
     """
-    dim = 2 ** num_qubits
+    dim, k = 2 ** num_qubits, len(gate.wires)
     small = gate_matrix(gate.kind, gate.angle)
     full = np.zeros((dim, dim), dtype=np.complex128)
-    if gate.kind in TWO_QUBIT_KINDS:
-        wa, wb = gate.wires
-        for col in range(dim):
-            ba = (col >> (num_qubits - 1 - wa)) & 1
-            bb = (col >> (num_qubits - 1 - wb)) & 1
-            col_small = 2 * ba + bb
-            for row_small in range(4):
-                ra, rb = row_small >> 1, row_small & 1
-                row = col
-                row = (row & ~_wire_mask(num_qubits, wa)) | (ra << (num_qubits - 1 - wa))
-                row = (row & ~_wire_mask(num_qubits, wb)) | (rb << (num_qubits - 1 - wb))
-                full[row, col] += small[row_small, col_small]
-    else:
-        w = gate.wires[0]
-        for col in range(dim):
-            b = (col >> (num_qubits - 1 - w)) & 1
-            for rb in range(2):
-                row = (col & ~_wire_mask(num_qubits, w)) | (rb << (num_qubits - 1 - w))
-                full[row, col] += small[rb, b]
+    for col in range(dim):
+        for row_small in range(2 ** k):
+            row, col_small = col, 0
+            for j, w in enumerate(gate.wires):
+                mask = _wire_mask(num_qubits, w)
+                col_small = 2 * col_small + bool(col & mask)
+                bit = row_small >> (k - 1 - j) & 1
+                row = row & ~mask | bit * mask
+            full[row, col] += small[row_small, col_small]
     return full
 
 
 def expectation_z(state: Statevector, wire: int) -> float:
     """Analytic <Z> on one wire; always in [-1, 1]."""
     _check_wire(state.num_qubits, wire)
-    return float(expect_z_batch(state.amps[None, :], state.num_qubits,
-                                [wire])[0, 0])
+    return float(
+        expect_z_batch(state.amps[None, :], state.num_qubits)[0, wire])
 
 
 def sample_z_mean(state: Statevector, wire: int, shots: int,

@@ -275,7 +275,7 @@ def _circuit_blocks(num_qubits: int, entangler: str,
         permuted[None].repeat(len(angles), axis=0), num_qubits,
         _layer_rotations(angles[:, None])))
     product = functools.reduce(np.matmul, layers, eye)
-    z_table = simcore.expect_z_batch(product, num_qubits, range(num_qubits))
+    z_table = simcore.expect_z_batch(product, num_qubits)
     for array in layers + (product, z_table):
         array.setflags(write=False)
     return layers, product, z_table
@@ -374,8 +374,7 @@ def output_states(model: VqcModel, observations) -> np.ndarray:
 
 def readout(model: VqcModel, states: np.ndarray) -> np.ndarray:
     """Per-wire Z expectations of (B, 2^U) states, shape (B, U)."""
-    u = model.num_qubits
-    return simcore.expect_z_batch(states, u, range(u))
+    return simcore.expect_z_batch(states, model.num_qubits)
 
 
 def run_circuit_batch(model: VqcModel, thetas: np.ndarray,
@@ -439,8 +438,14 @@ def grad_batch(model: VqcModel, upstreams: np.ndarray, observations,
 def _shifted_differences(model: VqcModel, observations,
                          shift: float) -> np.ndarray:
     """z(theta + shift e_p) - z(theta - shift e_p), shape (n, 3UL, U), for
-    n observations: per layer, its 2 * 3U shifted sets in one batch."""
+    n observations: per layer, its 2 * 3U shifted sets in one batch.  A
+    parameter so large that theta +/- shift rounds to theta is rejected."""
     theta, u = model.params, model.num_qubits
+    stuck = np.flatnonzero((theta + shift == theta) | (theta - shift == theta))
+    if stuck.size:
+        p = stuck[0]
+        raise ValueError(f"parameter {p} is {theta[p]:g}, too large to "
+                         f"shift by {shift:g}")
     diffs, k = np.empty((len(observations), theta.size, u)), np.arange(3 * u)
     for start in range(0, theta.size, k.size):
         # sets: the layer's parameters in order, each shifted by + then -
@@ -470,7 +475,7 @@ def _adjoint_grad(model: VqcModel, upstreams: np.ndarray, observations,
         psi = _output_states(model, theta, _observations(model, observations),
                              blocks)
     psi = _checked("psi", psi, [(len(upstreams), 2 ** u)], complex)
-    lam = psi * (upstreams @ simcore.z_signs(u, tuple(range(u))))
+    lam = psi * (upstreams @ simcore.z_signs(u))
     pair = np.array([psi, lam])
     ends = np.empty((2, model.depth) + psi.shape, complex)
     angles, pairs = layer_view(theta, u), entangler_pairs(u, model.entangler)
@@ -497,7 +502,7 @@ def _layer_derivatives(ends: np.ndarray, num_qubits: int,
     """
     u = num_qubits
     psi, lam_conj = ends[0], ends[1].conj()
-    signs = simcore.z_signs(u, tuple(range(u)))
+    signs = simcore.z_signs(u)
     # x, y, z[l, n, w] = Im<lambda|sigma|psi> for sigma = X, Y, Z on wire w
     z = (lam_conj * psi).imag @ signs.T
     x, y = np.empty_like(z), np.empty_like(z)

@@ -454,6 +454,9 @@ class TestConfigValidation:
         ("gamma", 1.0),
         ("epsilon_start", 0.01),  # below epsilon_end
         ("target_sync_interval", 0),
+        ("seed", -1),
+        ("init_scale", -1.0),
+        ("init_scale", np.nan),
     ])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -100,6 +100,27 @@ class TestGateMatrix:
             gate_matrix("H")
 
 
+@pytest.mark.parametrize("kind, angle, message", [
+    ("H", None, "unknown gate kind 'H'"),
+    ("H", 0.5, "unknown gate kind 'H'"),
+    ("RX", None, "RX requires an angle"),
+    ("RY", math.nan, "RY angle must be finite"),
+    ("RY", math.inf, "RY angle must be finite"),
+    ("RZ", -math.inf, "RZ angle must be finite"),
+    ("X", 0.5, "X takes no angle"),
+    ("Z", math.nan, "Z takes no angle"),
+    ("CNOT", 0.5, "CNOT takes no angle"),
+    ("CZ", 0.1, "CZ takes no angle"),
+])
+def test_gate_op_and_matrix_share_one_rule(kind, angle, message):
+    wires = (0, 1) if kind in simcore.TWO_QUBIT_KINDS else (0,)
+    for build in (lambda: GateOp(kind, wires, angle),
+                  lambda: gate_matrix(kind, angle)):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
 class TestGateOpValidation:
     def test_wire_count(self):
         with pytest.raises(ValueError):
@@ -208,6 +229,20 @@ class TestDenseOracle:
             fast = apply_gate(fast, gate)
             slow = dense_apply_oracle(slow, embed_gate(gate, 2))
         assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+    def test_one_qubit_embedding_is_kron(self, num_qubits):
+        u = num_qubits
+        for kind in ALL_KINDS:
+            if kind in simcore.TWO_QUBIT_KINDS:
+                continue
+            angle = 0.9 if kind in simcore.ROTATION_KINDS else None
+            for w in range(u):
+                want = functools.reduce(np.kron, [
+                    np.eye(2 ** w), gate_matrix(kind, angle),
+                    np.eye(2 ** (u - w - 1))])
+                got = embed_gate(GateOp(kind, (w,), angle), u)
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
     def test_every_kind_on_every_basis_state(self, num_qubits):
@@ -342,13 +377,6 @@ def _gate_by_gate(gates, num_qubits, amps):
     return state.amps
 
 
-@pytest.fixture(params=["strided"])
-def kernel_form(request):
-    """One-value parameter that keeps these tests' ids as they were when
-    the one-wire rotation ran on a wire's strided half-views."""
-    return request.param
-
-
 class TestFusedRotation:
     """One wire's matrix (the identity on every other wire) against
     apply_gate, the dense oracle and the Kronecker reference, on every
@@ -357,7 +385,7 @@ class TestFusedRotation:
     KINDS = ("RX", "RY", "RZ")
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
-    def test_shared_and_per_row_angles(self, num_qubits, kernel_form):
+    def test_shared_and_per_row_angles(self, num_qubits):
         rng = np.random.default_rng(40 + num_qubits)
         batch = 3
         amps = _random_amps(rng, (batch, 2 ** num_qubits))
@@ -388,7 +416,7 @@ class TestFusedRotation:
                     <= 1e-12
 
     @pytest.mark.parametrize("kind", ROTATION_KINDS)
-    def test_single_kind_scalar_and_per_row(self, kind, kernel_form):
+    def test_single_kind_scalar_and_per_row(self, kind):
         rng = np.random.default_rng(50)
         amps = _random_amps(rng, (4, 8))
         for wire in range(3):
@@ -404,7 +432,7 @@ class TestFusedRotation:
                              @ amps[b] for b in range(4)])
             assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_pair_shaped_input(self, kernel_form):
+    def test_pair_shaped_input(self):
         # (2, n, 2^U): the adjoint pass's stacked psi and lambda
         rng = np.random.default_rng(51)
         pair = _random_amps(rng, (2, 5, 16))
@@ -571,13 +599,14 @@ class TestExpectZSequence:
         rng = np.random.default_rng(52)
         for num_qubits in range(1, 6):
             amps = _random_amps(rng, (7, 2 ** num_qubits))
-            wires = list(rng.permutation(num_qubits))
-            together = simcore.expect_z_batch(amps, num_qubits, wires)
+            amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+            together = simcore.expect_z_batch(amps, num_qubits)
             assert together.shape == (7, num_qubits)
-            for j, wire in enumerate(wires):
-                alone = simcore.expect_z_batch(amps, num_qubits, [wire])
-                assert alone.shape == (7, 1)
-                assert np.max(np.abs(together[:, j] - alone[:, 0])) <= 1e-12
+            for b in range(7):
+                state = simcore.Statevector(num_qubits, amps[b])
+                for wire in range(num_qubits):
+                    alone = expectation_z(state, wire)
+                    assert abs(together[b, wire] - alone) <= 1e-12
 
 
 class TestKernelsLeaveInputsAlone:
@@ -596,15 +625,14 @@ class TestKernelsLeaveInputsAlone:
             lambda a: simcore.apply_rotation_batch(a, 3, rows),
             lambda a: simcore.apply_rotation_batch(
                 a, 3, rows.swapaxes(0, 1).conj()),
-            lambda a: simcore.expect_z_batch(a, 3, [1]),
-            lambda a: simcore.expect_z_batch(a, 3, [2, 0]),
+            lambda a: simcore.expect_z_batch(a, 3),
             lambda a: apply_gate(simcore.Statevector(3, a[1]),
                                  GateOp("RY", (1,), 0.4)).amps,
             lambda a: apply_gate(simcore.Statevector(3, a[1]),
                                  GateOp("CZ", (2, 0))).amps,
         ], (shared, rows)
 
-    def test_input_and_tables_unchanged(self, kernel_form):
+    def test_input_and_tables_unchanged(self):
         rng = np.random.default_rng(54)
         amps = _random_amps(rng, (3, 8))
         calls, matrices = self._calls()
@@ -619,7 +647,7 @@ class TestKernelsLeaveInputsAlone:
             assert np.array_equal(call(amps), call(before))
         assert all(map(np.array_equal, matrices, matrices_before))
         for table in (simcore._flip_index(3, 1), simcore._flip_index(3, 2, 0),
-                      simcore.z_signs(3, (1,)), simcore.z_signs(3, (2, 0)),
+                      simcore.z_signs(3),
                       simcore._cnot_index(3, ((0, 1), (2, 0)))):
             assert not table.flags.writeable
         idx = np.arange(8)
@@ -629,6 +657,7 @@ class TestKernelsLeaveInputsAlone:
         assert np.array_equal(simcore._flip_index(3, 1), idx ^ 2)
         assert np.array_equal(simcore._flip_index(3, 2, 0),
                               np.where(idx & 4, idx ^ 1, idx))
-        assert np.array_equal(simcore.z_signs(3, (2, 0)),
-                              [np.where(idx & 1, -1, 1),
-                               np.where(idx & 4, -1, 1)])
+        assert np.array_equal(simcore.z_signs(3),
+                              [np.where(idx & 4, -1, 1),
+                               np.where(idx & 2, -1, 1),
+                               np.where(idx & 1, -1, 1)])

@@ -643,6 +643,25 @@ class TestGradients:
         with pytest.raises(ValueError):
             finite_diff_grad(model, np.zeros(1), np.ones(1), h=1e-8)
 
+    @pytest.mark.parametrize("grad, too_large, shiftable", [
+        (parameter_shift_grad, 1e17, 1e13),
+        (finite_diff_grad, 1e13, 1e10),
+    ], ids=["parameter-shift", "finite-diff"])
+    def test_unshiftable_parameter_rejected(self, grad, too_large, shiftable,
+                                            monkeypatch):
+        # theta +/- shift rounds to theta, so the difference would read 0
+        params = np.zeros(6)
+        params[2] = shiftable
+        model = VqcModel(2, 1, params)
+        assert np.any(grad(model, 1, np.ones(2)) != 0)
+        params[2] = too_large
+        model.params = params
+        monkeypatch.setattr(vqc, "run_circuit_batch", None)  # none may run
+        with pytest.raises(ValueError) as raised:
+            grad(model, 1, np.ones(2))
+        assert str(raised.value).startswith(
+            f"parameter 2 is {too_large:g}, too large to shift by")
+
     def test_broken_shift_hook_breaks_exactness(self, monkeypatch):
         rng = np.random.default_rng(8)
         model = random_model(rng)
@@ -762,8 +781,7 @@ class TestAdjointGradients:
         each at the (psi, lambda) pair of that layer's end."""
         u, theta = model.num_qubits, model.params
         psi = vqc.output_states(model, observations)
-        pair = np.stack([psi, psi * (upstreams @ simcore.z_signs(
-            u, tuple(range(u))))])
+        pair = np.stack([psi, psi * (upstreams @ simcore.z_signs(u))])
         grads = np.empty((len(psi), theta.size))
         angles, blocks = vqc.layer_view(theta, u), vqc._blocks(model, theta)
         for layer in reversed(range(model.depth)):
